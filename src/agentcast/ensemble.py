@@ -104,12 +104,19 @@ def median_ensemble(frames: Sequence[ForecastFrame]) -> ForecastFrame:
 
 
 def monotonize_quantiles(frame: ForecastFrame) -> ForecastFrame:
-    """Replace each horizon row of quantiles with its isotonic fit."""
+    """Replace each horizon row of quantiles with its isotonic fit.
+
+    PAVA pools only across a decreasing step and returns any other row
+    unchanged, bit for bit, so only rows with such a step are refitted.
+    """
     if frame.levels is None:
         raise ValueError("frame has no quantiles to monotonize")
     entries = {}
     for key, entry in frame.items():
-        fixed = np.vstack([pava_isotonic(row) for row in entry.quantiles])
+        fixed = entry.quantiles.copy()
+        # The same comparison PAVA pools on; NaN compares false in both.
+        for i in np.flatnonzero((fixed[:, 1:] < fixed[:, :-1]).any(axis=1)):
+            fixed[i] = pava_isotonic(fixed[i])
         entries[key] = ForecastEntry(entry.timestamps, entry.mean, fixed, entry.fallback)
     return ForecastFrame(frame.model, entries, frame.levels)
 

@@ -27,6 +27,7 @@ from .panel import (
     DEFAULT_LEVELS,
     Series,
     SeriesPanel,
+    _emit_csv,
     format_timestamp,
     level_column,
     validate_levels,
@@ -125,15 +126,17 @@ class CrossValReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
+        stamps = {row.cutoff_ts for row in self.rows} | {row.ds for row in self.rows}
+        stamp_text = {ts: format_timestamp(ts) for ts in stamps}
         lines = [self.csv_header()]
         n_levels = 0 if self.levels is None else len(self.levels)
         for row in self.rows:
             cells = [
                 row.key,
-                format_timestamp(row.cutoff_ts),
+                stamp_text[row.cutoff_ts],
                 row.model,
                 str(row.step),
-                format_timestamp(row.ds),
+                stamp_text[row.ds],
                 f"{row.y:.12g}",
                 f"{row.yhat:.12g}",
             ]
@@ -142,15 +145,7 @@ class CrossValReport:
                 cells.extend(f"{v:.12g}" for v in q)
             cells.append("true" if row.failed else "false")
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if path_or_buffer is None:
-            return text
-        if hasattr(path_or_buffer, "write"):
-            path_or_buffer.write(text)
-        else:
-            with open(path_or_buffer, "w") as fp:
-                fp.write(text)
-        return None
+        return _emit_csv(lines, path_or_buffer)
 
 
 def _as_forecaster(spec):
@@ -164,33 +159,33 @@ def _evaluate_fold(forecaster, panel, key, cutoff, h, levels):
     series = panel[key]
     cutoff_ts = series.timestamps[cutoff - 1]
     actual_ts = series.timestamps[cutoff : cutoff + h]
-    actual_y = series.values[cutoff : cutoff + h]
+    actual_y = series.values[cutoff : cutoff + h].tolist()
     name = forecaster.name
     try:
-        sub = SeriesPanel(
+        train = SeriesPanel._from_prefixes(
             {key: Series(series.timestamps[:cutoff], series.values[:cutoff])},
             panel.freq,
         )
-        frame = forecaster.forecast(sub, h, levels)
+        frame = forecaster.forecast(train, h, levels)
         entry = frame[key]
-        rows = []
-        for k in range(h):
-            q = None
-            if frame.levels is not None:
-                q = tuple(float(v) for v in entry.quantiles[k])
-            rows.append(
-                CrossValRow(
-                    key, cutoff, cutoff_ts, name, k + 1, actual_ts[k],
-                    float(actual_y[k]), float(entry.mean[k]), q,
-                )
+        yhat = entry.mean.tolist()
+        if frame.levels is None:
+            quantiles = [None] * h
+        else:
+            quantiles = [tuple(q) for q in entry.quantiles.tolist()]
+        return [
+            CrossValRow(
+                key, cutoff, cutoff_ts, name, k + 1, actual_ts[k],
+                actual_y[k], yhat[k], quantiles[k],
             )
-        return rows
+            for k in range(h)
+        ]
     except Exception:
         nan_q = None if levels is None else (float("nan"),) * len(levels)
         return [
             CrossValRow(
                 key, cutoff, cutoff_ts, name, k + 1, actual_ts[k],
-                float(actual_y[k]), float("nan"), nan_q, failed=True,
+                actual_y[k], float("nan"), nan_q, failed=True,
             )
             for k in range(h)
         ]
@@ -404,15 +399,7 @@ class EvalReport:
             if self.levels is not None:
                 cells.extend(fmt(s.pinball_by_level.get(l)) for l in self.levels)
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if path_or_buffer is None:
-            return text
-        if hasattr(path_or_buffer, "write"):
-            path_or_buffer.write(text)
-        else:
-            with open(path_or_buffer, "w") as fp:
-                fp.write(text)
-        return None
+        return _emit_csv(lines, path_or_buffer)
 
 
 def _score_model(name, rows, cv_levels, panel, season_length):

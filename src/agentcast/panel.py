@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import calendar
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterator, Mapping, Sequence
@@ -197,6 +198,25 @@ class SeriesPanel:
         self._series = {key: series[key] for key in sorted(series)}
         self._freq = freq
 
+    @classmethod
+    def _from_prefixes(
+        cls, series: Mapping[str, Series], freq: Frequency | None
+    ) -> "SeriesPanel":
+        """Panel of non-empty prefixes of series a panel already validated.
+
+        Skips ``__init__``'s checks, which are redundant here: a prefix of a
+        strictly increasing series on a regular grid is itself strictly
+        increasing and on that grid.  This holds for month-based grids with
+        clamped days too.  The full series has days min(A, month length)
+        with A its largest day.  If the prefix's largest day D is below A,
+        every prefix day is already clamped to its month's end, so
+        min(D, month length) reproduces each of them.
+        """
+        panel = cls.__new__(cls)
+        panel._series = {key: series[key] for key in sorted(series)}
+        panel._freq = freq
+        return panel
+
     @property
     def freq(self) -> Frequency | None:
         return self._freq
@@ -230,7 +250,7 @@ class SeriesPanel:
                     f"series {key!r}: cannot keep {k} of {len(s)} observations"
                 )
             out[key] = Series(s.timestamps[:k], s.values[:k])
-        return SeriesPanel(out, self._freq)
+        return SeriesPanel._from_prefixes(out, self._freq)
 
     def equals(self, other: "SeriesPanel") -> bool:
         if self.keys() != other.keys():
@@ -259,15 +279,20 @@ class SeriesPanel:
         for key, s in self._series.items():
             for ts, v in zip(s.timestamps, s.values):
                 rows.append(f"{key},{format_timestamp(ts)},{float(v)!r}")
-        text = "\n".join(rows) + "\n"
-        if path_or_buffer is None:
-            return text
-        if hasattr(path_or_buffer, "write"):
-            path_or_buffer.write(text)
-        else:
-            with open(path_or_buffer, "w") as fp:
-                fp.write(text)
-        return None
+        return _emit_csv(rows, path_or_buffer)
+
+
+def _emit_csv(lines: Sequence[str], path_or_buffer=None):
+    """Join CSV lines; return the text, or write it to a stream or a path."""
+    text = "\n".join(lines) + "\n"
+    if path_or_buffer is None:
+        return text
+    if hasattr(path_or_buffer, "write"):
+        path_or_buffer.write(text)
+    else:
+        with open(path_or_buffer, "w") as fp:
+            fp.write(text)
+    return None
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -352,6 +377,11 @@ def parse_panel(
                     f"row {row_number}: unparseable value "
                     f"{cells[positions[value_column]]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"row {row_number}: non-finite value "
+                    f"{cells[positions[value_column]]!r} for series {key!r}"
+                )
             if (key, ts) in seen:
                 raise DuplicateTimestampError(
                     f"row {row_number}: duplicate timestamp "

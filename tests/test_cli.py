@@ -60,6 +60,21 @@ class TestForecastCommand:
         assert err.startswith("error: unknown-model: ")
         assert err.count("\n") == 1
 
+    def test_non_finite_input_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "unique_id,ds,y\n"
+            "s,2020-01-01,1.0\ns,2020-02-01,nan\ns,2020-03-01,inf\ns,2020-04-01,2.0\n"
+        )
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(path), "--models", "naive,historicaverage",
+            "--h", "2", "--levels", "none",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parse: row 3: ")
+        assert err.count("\n") == 1
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "forecast", "--input", str(tmp_path / "nope.csv"),

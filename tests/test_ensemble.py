@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcast.ensemble import (
     EnsembleForecaster,
@@ -198,6 +200,40 @@ class TestMonotonizeQuantiles:
     def test_frame_without_quantiles_rejected(self):
         with pytest.raises(ValueError):
             monotonize_quantiles(frame_from({"s": [1.0]}))
+
+
+def quantile_rows(n_levels):
+    """Rows that are nondecreasing, have a decreasing step, or hold NaN."""
+    cell = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    plain = st.lists(cell, min_size=n_levels, max_size=n_levels)
+    return st.one_of(
+        plain.map(sorted),
+        plain.filter(lambda r: any(b < a for a, b in zip(r, r[1:]))),
+        st.tuples(plain, st.integers(0, n_levels - 1)).map(
+            lambda t: t[0][: t[1]] + [float("nan")] + t[0][t[1] + 1 :]
+        ),
+    )
+
+
+@st.composite
+def quantile_matrices(draw):
+    n_levels = draw(st.integers(1, 9))
+    rows = draw(st.lists(quantile_rows(n_levels), min_size=1, max_size=12))
+    return np.array(rows, dtype=float)
+
+
+class TestMonotonizeMatchesRowwisePava:
+    @settings(max_examples=300, deadline=None)
+    @given(quantile_matrices())
+    def test_bitwise_equal_to_pava_on_every_row(self, q):
+        levels = tuple(np.linspace(0.05, 0.95, q.shape[1]))
+        frame = frame_from(
+            {"s": np.zeros(q.shape[0])}, levels=levels, quantiles_by_key={"s": q.copy()}
+        )
+        out = monotonize_quantiles(frame)["s"].quantiles
+        expected = np.vstack([pava_isotonic(row) for row in q])
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(frame["s"].quantiles, q)  # input untouched
 
 
 class TestEnsembleForecaster:

@@ -1,9 +1,14 @@
+import calendar
+from datetime import datetime
+
 import numpy as np
 import pytest
 
+from agentcast.adapters import resolve_model, serve_stub
 from agentcast.errors import ConfigError, SeriesTooShortError
 from agentcast.evaluation import (
     CrossValReport,
+    CrossValRow,
     aggregate_leaderboard,
     coverage,
     crps_approx,
@@ -17,7 +22,10 @@ from agentcast.panel import (
     DEFAULT_LEVELS,
     ForecastEntry,
     ForecastFrame,
+    Frequency,
+    Series,
     SeriesPanel,
+    _matches_grid,
     future_grid,
 )
 
@@ -212,6 +220,93 @@ class TestCrossValidate:
         assert lines[0].endswith(",failed")
         assert len(lines) == 49
         assert all(line.endswith(",false") for line in lines[1:])
+
+
+def validated_fold_rows(forecaster, panel, key, cutoff, h, levels):
+    """Reference fold: a fully validated training panel, cells cast one by one."""
+    series = panel[key]
+    train = SeriesPanel(
+        {key: Series(series.timestamps[:cutoff], series.values[:cutoff])}, panel.freq
+    )
+    frame = forecaster.forecast(train, h, levels)
+    entry = frame[key]
+    return [
+        CrossValRow(
+            key, cutoff, series.timestamps[cutoff - 1], forecaster.name, k + 1,
+            series.timestamps[cutoff + k], float(series.values[cutoff + k]),
+            float(entry.mean[k]),
+            None if frame.levels is None else tuple(float(v) for v in entry.quantiles[k]),
+        )
+        for k in range(h)
+    ]
+
+
+def month_end_series(start_year, n):
+    """Monthly series anchored on day 31: Jan 31, Feb 28/29, Mar 31, Apr 30, ..."""
+    stamps = []
+    for i in range(n):
+        year, month = start_year + i // 12, i % 12 + 1
+        stamps.append(datetime(year, month, calendar.monthrange(year, month)[1]))
+    t = np.arange(n, dtype=float)
+    return Series(tuple(stamps), 200.0 + 3.0 * t + 20.0 * np.sin(2 * np.pi * t / 12))
+
+
+class TestFoldPath:
+    """Folds train on prefixes of the validated panel without re-validating them."""
+
+    @pytest.fixture()
+    def stub(self):
+        server = serve_stub(alias="theta")
+        yield server
+        server.close()
+
+    def test_rows_equal_validated_panel_per_fold(self, air_passengers, stub):
+        panel = SeriesPanel(
+            {
+                "AirPassengers": air_passengers["AirPassengers"],
+                "month_end": month_end_series(2019, 50),
+            },
+            Frequency("M"),
+        )
+        models = [
+            "naive", "seasonalnaive", "theta", "croston",
+            "median_ensemble:naive+ses+theta", f"adapter:{stub.url}", LinearOracle(),
+        ]
+        h, n_windows, step = 6, 4, 5
+        cv = cross_validate(panel, models, h, n_windows=n_windows, step=step)
+        expected = []
+        for model in models:
+            forecaster = model if isinstance(model, LinearOracle) else resolve_model(model)
+            for key in panel.keys():
+                plan = rolling_cutoffs(len(panel[key]), h, n_windows, step)
+                for cutoff in plan.cutoffs:
+                    expected.extend(
+                        validated_fold_rows(forecaster, panel, key, cutoff, h, DEFAULT_LEVELS)
+                    )
+        assert not any(row.failed for row in cv.rows)
+        assert len(cv.rows) == len(expected)
+        for got, want in zip(cv.rows, expected):
+            assert got == want
+            assert all(type(v) is float for v in (got.y, got.yhat, *(got.quantiles or ())))
+
+    def test_month_end_prefixes_stay_on_the_grid(self):
+        # Monthly from Jan 31, and yearly from Feb 28 2021 with the day-29
+        # anchor showing only in 2024: the three-year prefix's largest day
+        # (28) is below the full series' (29) and still reproduces each day.
+        yearly = tuple(
+            datetime(y, 2, calendar.monthrange(y, 2)[1]) for y in range(2021, 2031)
+        )
+        cases = [
+            (month_end_series(2019, 50), Frequency("M")),
+            (Series(yearly, np.arange(10.0)), Frequency("Y")),
+        ]
+        for series, freq in cases:
+            panel = SeriesPanel({"s": series}, freq)
+            for k in range(1, len(series) + 1):
+                prefix = panel.head(k)["s"]
+                assert prefix.timestamps == series.timestamps[:k]
+                assert _matches_grid(prefix.timestamps, freq)
+                SeriesPanel({"s": prefix}, freq)  # full validation accepts it
 
 
 class TestMase:

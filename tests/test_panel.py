@@ -133,6 +133,12 @@ class TestParsePanel:
         with pytest.raises(ParseError, match="row 2"):
             parse_csv_text(text)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_names_row_and_series(self, cell):
+        text = f"unique_id,ds,y\na,2020-01-01,1\nb,2020-01-01,2\nb,2020-02-01,{cell}\n"
+        with pytest.raises(ParseError, match=r"row 4: non-finite value .* series 'b'"):
+            parse_csv_text(text)
+
     def test_duplicate_timestamp(self):
         text = "unique_id,ds,y\na,2020-01-01,1\na,2020-01-01,2\n"
         with pytest.raises(DuplicateTimestampError):
