@@ -10,7 +10,8 @@ class AgentcastError(Exception):
 
 
 class SchemaError(AgentcastError):
-    """A required CSV column or field is missing."""
+    """A required CSV column or field is missing, or a series holds a
+    non-finite value."""
 
     category = "schema"
 
@@ -79,3 +80,10 @@ class AgentError(AgentcastError):
     def __init__(self, message: str, trace=()):
         super().__init__(message)
         self.trace = tuple(trace)
+
+
+# What a forecast may raise on data it cannot model: our typed errors,
+# ValueError (numpy's LinAlgError among them) and ArithmeticError.  Fold
+# isolation and the naive fallback catch these and nothing else, so a
+# programming error such as a TypeError propagates.
+_FORECAST_FAILURES = (AgentcastError, ValueError, ArithmeticError)

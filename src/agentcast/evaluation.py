@@ -22,7 +22,7 @@ from datetime import datetime
 import numpy as np
 
 from .adapters import resolve_model
-from .errors import ConfigError, SeriesTooShortError
+from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
 from .panel import (
     DEFAULT_LEVELS,
     Series,
@@ -155,7 +155,8 @@ def _as_forecaster(spec):
 
 
 def _evaluate_fold(forecaster, panel, key, cutoff, h, levels):
-    """Rows for one (model, series, cutoff) fold; failures become markers."""
+    """Rows for one (model, series, cutoff) fold; forecasting failures
+    become markers."""
     series = panel[key]
     cutoff_ts = series.timestamps[cutoff - 1]
     actual_ts = series.timestamps[cutoff : cutoff + h]
@@ -180,7 +181,7 @@ def _evaluate_fold(forecaster, panel, key, cutoff, h, levels):
             )
             for k in range(h)
         ]
-    except Exception:
+    except _FORECAST_FAILURES:
         nan_q = None if levels is None else (float("nan"),) * len(levels)
         return [
             CrossValRow(
@@ -205,8 +206,8 @@ def cross_validate(
     ``models`` may mix alias strings (resolved like CLI model specs) and
     ready forecaster objects.  Each fold trains on the first ``cutoff``
     observations only; the following ``h`` actuals are recorded verbatim.
-    A failure of one (model, series, fold) is recorded as a marker and
-    never aborts the run.
+    A forecasting failure of one (model, series, fold) is recorded as a
+    marker and never aborts the run; a programming error propagates.
     """
     if len(panel) == 0:
         raise ConfigError("cannot cross-validate an empty panel")

@@ -216,7 +216,7 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
         if fit and (best is None or fit["aicc"] < best["aicc"]):
             best_order, best = order, fit
     if best is None:
-        raise RuntimeError("no valid ARIMA candidate")
+        raise InsufficientDataError("no valid ARIMA candidate")
 
     for _ in range(25):
         p, q, P, Q = best_order

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..errors import InsufficientDataError
+from ..errors import _FORECAST_FAILURES, InsufficientDataError
 from ..panel import (
     DEFAULT_LEVELS,
     ForecastEntry,
@@ -65,7 +65,7 @@ class Forecaster:
             fallback = False
             try:
                 mean, quantiles = self._forecast_series(s.values, m, h, levels)
-            except Exception:
+            except _FORECAST_FAILURES:
                 if not self.fallback_to_naive:
                     raise
                 mean, quantiles = _naive_series(s.values, h, levels)

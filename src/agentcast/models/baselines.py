@@ -1,4 +1,7 @@
-"""Simple baselines: naive, seasonal naive, historic average, SES."""
+"""Simple baselines: naive, seasonal naive, historic average, SES.
+
+SES is ETS(A,N,N) on the recursion ``ets._smooth``, level starting at y[0].
+"""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ import numpy as np
 
 from ..errors import InsufficientDataError, SeriesTooShortError
 from .base import Forecaster, _naive_series, gaussian_quantiles
+from .ets import _smooth
 
 
 class Naive(Forecaster):
@@ -63,37 +67,25 @@ def ses_fit(y: np.ndarray, alpha: float | None = None) -> tuple[SESState, np.nda
     """Simple exponential smoothing; level starts at the first observation.
 
     When ``alpha`` is None it is chosen from the grid 0.01..0.99 by
-    in-sample one-step squared error.  Returns the state and the fitted
-    one-step forecasts (fitted[t] predicts y[t]; fitted[0] = y[0]).
+    in-sample one-step squared error, the grid in one batch run of
+    ``ets._smooth``.  Returns the state and the fitted one-step forecasts
+    (fitted[t] predicts y[t]; fitted[0] = y[0]).
     """
     if len(y) == 0:
         raise InsufficientDataError("SES needs at least 1 observation")
+    init = (float(y[0]), 0.0, [0.0])
     if alpha is None:
         grid = np.arange(1, 100) / 100.0
-        sses = np.array([_ses_sse(y, a) for a in grid])
+        sses = _smooth(y[1:], *init, grid, 0.0, 0.0, 0.0)[0]
         alpha = float(grid[int(np.argmin(sses))])
     elif not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
-    fitted = np.empty(len(y))
-    level = y[0]
-    fitted[0] = level
-    for t in range(1, len(y)):
-        fitted[t] = level
-        level = alpha * y[t] + (1.0 - alpha) * level
+    _, level, _, _, forecasts = _smooth(y[1:], *init, alpha, 0.0, 0.0, 0.0)
+    fitted = np.array([init[0], *forecasts])
     residuals = y[1:] - fitted[1:]
     sd = float(residuals.std()) if len(residuals) else 0.0
     return SESState(float(alpha), float(level), sd), fitted
-
-
-def _ses_sse(y: np.ndarray, alpha: float) -> float:
-    level = y[0]
-    sse = 0.0
-    for t in range(1, len(y)):
-        e = y[t] - level
-        sse += e * e
-        level += alpha * e
-    return sse
 
 
 class SES(Forecaster):

@@ -4,7 +4,9 @@ Both emit flat point forecasts and no quantiles.  Classic Croston
 smooths nonzero demand sizes and inter-demand intervals separately
 (fixed alpha 0.1) and forecasts their ratio.  ADIDA aggregates the
 series into buckets sized by the mean inter-demand interval, smooths
-the bucket sums and disaggregates uniformly.
+the bucket sums and disaggregates uniformly.  Each smoothing is SES
+(``ses_fit``: ETS(A,N,N) on the recursion AutoETS uses), its level
+starting at the first size, interval or bucket sum.
 """
 
 from __future__ import annotations

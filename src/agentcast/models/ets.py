@@ -7,6 +7,9 @@ the admissible region followed by 0.01 coordinate descent, scored by
 AICc (Gaussian likelihood of the one-step residuals, k = free
 parameters + initial states), lowest wins.  Quantiles come from seeded
 simulation of future sample paths with Gaussian innovations.
+
+``_smooth`` is the one additive recursion: the grid batches, the winner's
+end states and SES (so Theta, Croston and ADIDA) as ETS(A,N,N) all run it.
 """
 
 from __future__ import annotations
@@ -122,17 +125,19 @@ class ETSFit:
         return np.quantile(paths, levels, axis=0).T
 
 
-def _initial_states(y: np.ndarray, m: int, seasonal: bool) -> tuple[float, float, np.ndarray]:
-    """Heuristic starting states: first-period level, period-mean slope,
-    decomposition seasonal pattern."""
+def _initial_states(y, m, trend, season):
+    """Heuristic starting states: first-period level, period-mean slope
+    (0 without a trend), decomposition seasonal pattern."""
     n = len(y)
-    if seasonal:
-        s0 = decompose(y, m).seasonal[:m].copy()
+    if season == "A":
+        s0 = decompose(y, m).seasonal[:m].tolist()
         level = float(y[:m].mean())
     else:
-        s0 = np.zeros(max(m, 1))
+        s0 = [0.0] * max(m, 1)
         level = float(y[:m].mean()) if m > 1 else float(y[0])
-    if m > 1 and n >= 2 * m:
+    if trend == "N":
+        slope = 0.0
+    elif m > 1 and n >= 2 * m:
         period_means = y[: (n // m) * m].reshape(-1, m).mean(axis=1)
         slope = float(np.diff(period_means).mean() / m)
     else:
@@ -140,40 +145,37 @@ def _initial_states(y: np.ndarray, m: int, seasonal: bool) -> tuple[float, float
     return level, slope, s0
 
 
-def _sse_batch(
-    y: np.ndarray,
-    trend: str,
-    season: str,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    gammas: np.ndarray,
-    phis: np.ndarray,
-    init: tuple[float, float, np.ndarray],
-) -> np.ndarray:
-    """One-step in-sample SSE for a batch of parameter combinations."""
-    level0, slope0, s0 = init
-    c = len(alphas)
-    level = np.full(c, level0)
-    slope = np.full(c, slope0 if trend != "N" else 0.0)
-    seasonal = np.tile(s0, (c, 1))
-    phi = phis if trend == "Ad" else np.full(c, 1.0 if trend == "A" else 0.0)
-    beta = betas if trend != "N" else np.zeros(c)
-    gamma = gammas if season == "A" else np.zeros(c)
-    m_buf = seasonal.shape[1]
-    sse = np.zeros(c)
+def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
+    """Additive error-correction recursion of ETS(A,*,*) over ``y``.
+
+    Weights are floats (one parameter set) or equal-length arrays (one set
+    per row); a row equals the scalar run bit for bit, as both do the same
+    IEEE operations in order.  ``phi`` multiplies the slope: 0 without a
+    trend, 1 undamped.  ``y[t]`` meets seasonal slot ``t % len(seasonal)``.
+    Returns the SSE (inf if not finite), the end level, slope and seasonal
+    states, and the one-step forecasts.
+    """
+    seasonal = list(seasonal)
+    m = len(seasonal)
+    sse = 0.0 * alpha  # zero in the shape of the weights
+    fitted = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(y)):
-            slot = t % m_buf
-            e = y[t] - (level + phi * slope + seasonal[:, slot])
+        for t, obs in enumerate(y.tolist()):
+            slot = t % m
+            damped = phi * slope
+            base = level + damped
+            forecast = base + seasonal[slot]
+            e = obs - forecast
             sse += e * e
-            level = level + phi * slope + alphas * e
-            slope = phi * slope + beta * e
-            seasonal[:, slot] = seasonal[:, slot] + gamma * e
-    sse[~np.isfinite(sse)] = np.inf
-    return sse
+            level = base + alpha * e
+            slope = damped + beta * e
+            seasonal[slot] = seasonal[slot] + gamma * e
+            fitted.append(forecast)
+    return np.where(np.isfinite(sse), sse, np.inf), level, slope, seasonal, fitted
 
 
 def _coarse_grid(trend: str, season: str) -> list[tuple[float, float, float, float]]:
+    """(alpha, beta, gamma, phi) rows; undamped phi is 1, or 0 without trend."""
     alphas = [round(0.1 * i, 2) for i in range(1, 10)]
     combos = []
     for a in alphas:
@@ -185,7 +187,7 @@ def _coarse_grid(trend: str, season: str) -> list[tuple[float, float, float, flo
             gs = [round(0.1 * i, 2) for i in range(0, 10) if 0.1 * i <= 1.0 - a + 1e-9]
         else:
             gs = [0.0]
-        ps = [0.8, 0.9, 0.98] if trend == "Ad" else [0.0]
+        ps = [0.8, 0.9, 0.98] if trend == "Ad" else [1.0 if trend == "A" else 0.0]
         for b in bs:
             for g in gs:
                 for p in ps:
@@ -197,7 +199,7 @@ def _clamp_combo(trend, season, a, b, g, p):
     a = min(max(a, ALPHA_BOUNDS[0]), ALPHA_BOUNDS[1])
     b = min(max(b, 0.0), a) if trend != "N" else 0.0
     g = min(max(g, 0.0), 1.0 - a) if season == "A" else 0.0
-    p = min(max(p, PHI_BOUNDS[0]), PHI_BOUNDS[1]) if trend == "Ad" else 0.0
+    p = min(max(p, PHI_BOUNDS[0]), PHI_BOUNDS[1]) if trend == "Ad" else p
     return a, b, g, p
 
 
@@ -223,10 +225,7 @@ def _refine(y, trend, season, init, combo, sse):
                     trials.append(trial)
         if not trials:
             break
-        arr = np.asarray(trials)
-        sses = _sse_batch(
-            y, trend, season, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], init
-        )
+        sses = _smooth(y, *init, *np.asarray(trials).T)[0]
         i = int(np.argmin(sses))
         if sses[i] < best_sse - 1e-12:
             best, best_sse = trials[i], float(sses[i])
@@ -241,27 +240,6 @@ def _aicc(sse: float, n: int, k: int) -> float:
     sigma2 = max(sse / n, SIGMA2_FLOOR)
     loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
     return -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
-
-
-def _final_states(y, trend, season, combo, init):
-    """Rerun the winning recursion once to capture end-of-sample states."""
-    a, b, g, p = combo
-    level = init[0]
-    slope = init[1] if trend != "N" else 0.0
-    seasonal = init[2].copy()
-    phi = p if trend == "Ad" else (1.0 if trend == "A" else 0.0)
-    beta = b if trend != "N" else 0.0
-    gamma = g if season == "A" else 0.0
-    m_buf = len(seasonal)
-    sse = 0.0
-    for t in range(len(y)):
-        slot = t % m_buf
-        e = y[t] - (level + phi * slope + seasonal[slot])
-        sse += e * e
-        level = level + phi * slope + a * e
-        slope = phi * slope + beta * e
-        seasonal[slot] = seasonal[slot] + gamma * e
-    return level, slope, seasonal, sse
 
 
 def _param_count(trend: str, season: str, m: int) -> int:
@@ -286,12 +264,9 @@ def ets_fit(y: np.ndarray, m: int) -> ETSFit:
             if season == "A" and not allow_seasonal:
                 continue
             label = f"ETS(A,{trend},{season})"
-            init = _initial_states(y, m, season == "A")
+            init = _initial_states(y, m, trend, season)
             combos = _coarse_grid(trend, season)
-            arr = np.asarray(combos)
-            sses = _sse_batch(
-                y, trend, season, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], init
-            )
+            sses = _smooth(y, *init, *np.asarray(combos).T)[0]
             best_i = int(np.argmin(sses))
             if not np.isfinite(sses[best_i]):
                 candidates.append((label, np.inf))
@@ -304,7 +279,7 @@ def ets_fit(y: np.ndarray, m: int) -> ETSFit:
     if not results:
         raise InsufficientDataError("no ETS candidate produced a finite likelihood")
     aicc, trend, season, combo, init = min(results, key=lambda r: r[0])
-    level, slope, seasonal, sse = _final_states(y, trend, season, combo, init)
+    sse, level, slope, seasonal, _ = _smooth(y, *init, *combo)
     sigma = float(np.sqrt(max(sse / n, SIGMA2_FLOOR)))
     params = ETSParams(
         trend=trend,

@@ -2,7 +2,8 @@
 
 The theta(0) line is the OLS linear fit of the series on t = 1..n; the
 theta(2) line, 2y minus that fit, carries the short-run dynamics and is
-forecast by simple exponential smoothing.  The point forecast averages
+forecast by SES (``ses_fit``: ETS(A,N,N) on the recursion AutoETS uses,
+level starting at the line's first value).  The point forecast averages
 the extrapolated line and the SES level.  Strongly seasonal positive
 series are multiplicatively deseasonalized first and the forecasts
 (point and quantiles) re-seasonalized.

@@ -186,6 +186,13 @@ class SeriesPanel:
                 raise SchemaError("series id must be non-empty")
             if len(s) < 1:
                 raise InsufficientDataError(f"series {key!r} is empty")
+            finite = np.isfinite(s.values)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise SchemaError(
+                    f"series {key!r}: non-finite value {float(s.values[i])} "
+                    f"at position {i}"
+                )
             if any(b <= a for a, b in zip(s.timestamps, s.timestamps[1:])):
                 raise FrequencyError(
                     f"series {key!r}: timestamps must be strictly increasing"
@@ -205,12 +212,12 @@ class SeriesPanel:
         """Panel of non-empty prefixes of series a panel already validated.
 
         Skips ``__init__``'s checks, which are redundant here: a prefix of a
-        strictly increasing series on a regular grid is itself strictly
-        increasing and on that grid.  This holds for month-based grids with
-        clamped days too.  The full series has days min(A, month length)
-        with A its largest day.  If the prefix's largest day D is below A,
-        every prefix day is already clamped to its month's end, so
-        min(D, month length) reproduces each of them.
+        finite, strictly increasing series on a regular grid is itself
+        finite, strictly increasing and on that grid.  This holds for
+        month-based grids with clamped days too.  The full series has days
+        min(A, month length) with A its largest day.  If the prefix's
+        largest day D is below A, every prefix day is already clamped to
+        its month's end, so min(D, month length) reproduces each of them.
         """
         panel = cls.__new__(cls)
         panel._series = {key: series[key] for key in sorted(series)}

@@ -2,9 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from agentcast.datasets import load_air_passengers
+from agentcast.models import Forecaster
 from agentcast.panel import Frequency, Series, SeriesPanel, parse_panel
+
+# Property tests replay one fixed example sequence and set no per-example
+# deadline: the same examples on every run, whatever the machine's speed.
+settings.register_profile("agentcast", derandomize=True, deadline=None)
+settings.load_profile("agentcast")
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +63,13 @@ def make_monthly_panel():
 
 def parse_csv_text(text, **kwargs):
     return parse_panel(io.StringIO(text), **kwargs)
+
+
+class TypeErrorForecaster(Forecaster):
+    """Test double with a programming error: every fit raises TypeError."""
+
+    name = "typeerror"
+    fallback_to_naive = True
+
+    def _forecast_series(self, y, m, h, levels):
+        raise TypeError("unsupported operand type(s)")

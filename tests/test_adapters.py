@@ -9,6 +9,7 @@ import pytest
 from agentcast.adapters import (
     ModelSpec,
     RemoteForecaster,
+    _request_with_retries,
     parse_model_alias,
     remote_forecast,
     resolve_model,
@@ -117,6 +118,23 @@ class TestStubServer:
             urllib.request.urlopen(request, timeout=5)
         assert err.value.code == 400
         assert "error" in json.loads(err.value.read())
+
+    def test_non_finite_request_values_are_a_request_error(self, stub):
+        y = [float(v) for v in range(1, 25)]
+        y[5] = float("nan")
+        payload = {
+            "id": "s",
+            "freq": "M",
+            "ds": [f"{2020 + k // 12}-{k % 12 + 1:02d}-01" for k in range(24)],
+            "y": y,
+            "h": 3,
+            "levels": [0.1, 0.9],
+        }
+        spec = adapter_spec(stub.url, max_retries=2, backoff_ms=1.0)
+        before = stub.request_count
+        with pytest.raises(RequestError, match="non-finite value nan at position 5"):
+            _request_with_retries(spec, payload)
+        assert stub.request_count - before == 1
 
     def test_mirrors_the_builtin_model(self, stub):
         panel = make_panel({"s": [float(v) for v in range(1, 25)]})

@@ -223,7 +223,7 @@ def quantile_matrices(draw):
 
 
 class TestMonotonizeMatchesRowwisePava:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(quantile_matrices())
     def test_bitwise_equal_to_pava_on_every_row(self, q):
         levels = tuple(np.linspace(0.05, 0.95, q.shape[1]))

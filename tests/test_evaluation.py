@@ -29,7 +29,7 @@ from agentcast.panel import (
     future_grid,
 )
 
-from conftest import make_panel
+from conftest import TypeErrorForecaster, make_panel
 
 
 class LinearOracle:
@@ -163,6 +163,12 @@ class TestCrossValidate:
         assert len(first) == len(second) == 12
         assert all(r.failed and np.isnan(r.yhat) for r in first)
         assert all(not r.failed and np.isfinite(r.yhat) for r in second)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_programming_error_propagates(self, n_jobs):
+        panel = make_panel({"s": [float(v % 12 + 1) for v in range(40)]})
+        with pytest.raises(TypeError):
+            cross_validate(panel, [TypeErrorForecaster()], 6, n_windows=2, n_jobs=n_jobs)
 
     def test_forecasts_ignore_post_cutoff_data(self):
         rng = np.random.default_rng(77)

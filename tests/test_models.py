@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcast.errors import InsufficientDataError, SeriesTooShortError, UnknownModelError
 from agentcast.models import (
@@ -13,9 +17,10 @@ from agentcast.models import (
     get_model,
     ses_fit,
 )
+from agentcast.models.ets import SEASONS, TRENDS, _smooth
 from agentcast.panel import DEFAULT_LEVELS, future_grid
 
-from conftest import make_panel
+from conftest import TypeErrorForecaster, make_panel
 
 GAUSSIAN_MODELS = ["naive", "seasonalnaive", "historicaverage", "ses", "theta", "autoarima"]
 ADDITIVE_MODELS = ["naive", "seasonalnaive", "historicaverage", "ses", "theta", "autoets"]
@@ -151,6 +156,87 @@ class TestSES:
         assert entry.mean[0] == entry.mean[1] == entry.mean[2]
 
 
+def plain_ses_sse(y, alpha):
+    """Reference SES one-step SSE: level starts at y[0], plain loop."""
+    level, sse = y[0], 0.0
+    for obs in y[1:]:
+        e = obs - level
+        sse += e * e
+        level += alpha * e
+    return sse
+
+
+def plain_ses_level(y, alpha):
+    level = y[0]
+    for obs in y[1:]:
+        level = alpha * obs + (1.0 - alpha) * level
+    return level
+
+
+finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def recursion_cases(draw, trend, season):
+    """A series, starting states and parameter rows for one ETS structure."""
+    m = draw(st.sampled_from([1, 2, 4, 12]))
+    y = np.array(draw(st.lists(finite_values, min_size=1, max_size=40)))
+    level = draw(finite_values)
+    slope = draw(finite_values) if trend != "N" else 0.0
+    if season == "A":
+        seasonal = draw(st.lists(finite_values, min_size=m, max_size=m))
+    else:
+        seasonal = [0.0] * m
+    unit = st.floats(0.0, 1.0)
+    row = st.tuples(
+        unit,
+        unit if trend != "N" else st.just(0.0),
+        unit if season == "A" else st.just(0.0),
+        st.floats(0.8, 0.98) if trend == "Ad" else st.just(1.0 if trend == "A" else 0.0),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return y, (level, slope, seasonal), rows
+
+
+def row_bytes(value, i, count):
+    """Bytes of row ``i`` of a batch result (a float if never updated)."""
+    return np.broadcast_to(np.asarray(value, dtype=float), (count,))[i].tobytes()
+
+
+class TestSmoothRecursion:
+    @pytest.mark.parametrize("trend", TRENDS)
+    @pytest.mark.parametrize("season", SEASONS)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_batch_rows_equal_scalar_runs(self, trend, season, data):
+        y, init, rows = data.draw(recursion_cases(trend, season))
+        sse, level, slope, seasonal, fitted = _smooth(y, *init, *np.array(rows).T)
+        c = len(rows)
+        for i, row in enumerate(rows):
+            one_sse, one_level, one_slope, one_seasonal, one_fitted = _smooth(y, *init, *row)
+            assert row_bytes(sse, i, c) == np.float64(one_sse).tobytes()
+            assert row_bytes(level, i, c) == np.float64(one_level).tobytes()
+            assert row_bytes(slope, i, c) == np.float64(one_slope).tobytes()
+            for got, want in zip(seasonal, one_seasonal, strict=True):
+                assert row_bytes(got, i, c) == np.float64(want).tobytes()
+            for got, want in zip(fitted, one_fitted, strict=True):
+                assert row_bytes(got, i, c) == np.float64(want).tobytes()
+
+    @settings(max_examples=200)
+    @given(st.lists(finite_values, min_size=1, max_size=60))
+    def test_ses_alpha_matches_plain_loop(self, values):
+        y = np.array(values)
+        grid = np.arange(1, 100) / 100.0
+        expected = grid[int(np.argmin([plain_ses_sse(y, a) for a in grid]))]
+        state, fitted = ses_fit(y)
+        assert state.alpha == expected
+        # The level update moved from alpha*y + (1-alpha)*level to the
+        # error-correction form; both agree up to float64 rounding.
+        tol = 256 * np.finfo(float).eps * max(1.0, np.abs(y).max())
+        assert abs(state.level - plain_ses_level(y, state.alpha)) <= tol
+        assert fitted[0] == y[0] and len(fitted) == len(y)
+
+
 class TestTheta:
     def test_constant_series(self):
         panel = make_panel({"s": [5.0] * 20})
@@ -253,6 +339,37 @@ class TestAutoETS:
         entry = one(get_model("autoets").forecast(panel, 2))
         assert entry.fallback
         np.testing.assert_allclose(entry.mean, [4.0, 4.0])
+
+    def test_airpassengers_bytes_are_frozen(self, air_passengers):
+        # SHA-256 of the float64 bytes, frozen before the grid search, the
+        # end states and SES shared one recursion; refactors keep them.
+        def digest(*parts):
+            h = hashlib.sha256()
+            for part in parts:
+                if not isinstance(part, bytes):
+                    part = np.asarray(part, dtype=float).tobytes()
+                h.update(part)
+            return h.hexdigest()
+
+        entry = one(get_model("autoets").forecast(air_passengers, 12))
+        fit = ets_fit(air_passengers["AirPassengers"].values, 12)
+        labels = "|".join(label for label, _ in fit.candidates).encode()
+        assert {
+            "mean": digest(entry.mean),
+            "quantiles": digest(entry.quantiles),
+            "states": digest([fit.final_level, fit.final_slope], fit.final_seasonal),
+            "candidates": digest(labels, [aicc for _, aicc in fit.candidates]),
+        } == {
+            "mean": "50de38088f63fe1db0c936e697ad1456fc37a8119e174ed192b693bec140338a",
+            "quantiles": "ce60a1bf67c3d145c659ab36aaf318dc0fec77b20ddf7cbfaec9580e89a99995",
+            "states": "f78f5b877347ed2f39da722609f8b4afb6daed622d37a772e904034eb1e27d60",
+            "candidates": "d4b3077a428a2239a2eaad720688297cb41abe399f04663321fb1b4e16cceeab",
+        }
+
+    def test_programming_error_is_not_a_fallback(self):
+        panel = make_panel({"s": [1.0, 2.0, 3.0, 4.0]})
+        with pytest.raises(TypeError):
+            TypeErrorForecaster().forecast(panel, 2)
 
 
 class TestAutoARIMA:

@@ -14,6 +14,8 @@ from agentcast.errors import (
 )
 from agentcast.panel import (
     Frequency,
+    Series,
+    SeriesPanel,
     future_grid,
     infer_frequency,
     parse_panel,
@@ -174,6 +176,24 @@ class TestParsePanel:
         again = parse_panel(io.StringIO(text))
         assert panel.equals(again)
         assert again.to_csv() == text
+
+
+class TestSeriesPanelValues:
+    @pytest.mark.parametrize(
+        "bad, first",
+        [({143: np.nan}, 143), ({0: np.inf}, 0), ({70: -np.inf, 143: np.nan}, 70)],
+    )
+    def test_non_finite_value_names_series_and_position(self, air_passengers, bad, first):
+        # Built in code, not parsed: a NaN let through reaches autoets and
+        # comes back as an all-NaN forecast with no failed fold reported.
+        s = air_passengers["AirPassengers"]
+        values = s.values.copy()
+        for position, value in bad.items():
+            values[position] = value
+        with pytest.raises(
+            SchemaError, match=rf"series 'AirPassengers': non-finite value .* position {first}$"
+        ):
+            SeriesPanel({"AirPassengers": Series(s.timestamps, values)}, air_passengers.freq)
 
 
 class TestTrainTestSplit:
