@@ -63,7 +63,6 @@ class ModelSpec:
     max_retries: int = DEFAULT_MAX_RETRIES
     backoff_ms: float = DEFAULT_BACKOFF_MS
     members: tuple["ModelSpec", ...] = ()
-    params: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("builtin", "adapter", "ensemble"):

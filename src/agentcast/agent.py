@@ -531,12 +531,11 @@ def run_agent(
         levels=config.levels,
         n_jobs=config.n_jobs,
     )
-    failed_folds = len({(r.model, r.key, r.cutoff) for r in cv.rows if r.failed})
     trace.append(
-        f"cv: {len(cv.rows)} rows, {config.n_windows} fold(s) at h={effective_h}, "
-        f"{failed_folds} failed fold(s)"
+        f"cv: {len(cv)} rows, {config.n_windows} fold(s) at h={effective_h}, "
+        f"{int(cv.failed.sum())} failed fold(s)"
     )
-    if all(row.failed for row in cv.rows):
+    if cv.failed.all():
         raise AgentError(
             f"all {len(candidates)} candidate(s) failed cross-validation", trace
         )

@@ -10,7 +10,6 @@ form "error: <category>: <detail>" to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .adapters import resolve_model, serve_stub
@@ -173,10 +172,7 @@ def _add_cv_flags(parser):
         "--levels", default=",".join(str(l) for l in DEFAULT_LEVELS),
         help="comma list of quantile levels, or 'none'",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker threads for cross-validation",
-    )
+    parser.add_argument("--jobs", type=int, default=1, help="worker threads for cross-validation")
 
 
 def build_parser() -> _Parser:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import product
 
 import numpy as np
 
@@ -101,22 +102,70 @@ class CrossValRow:
     failed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossValReport:
-    """All evaluated rows, ordered by (model, series, cutoff, step)."""
+    """Cross-validation results, stored once as arrays.
 
-    rows: tuple[CrossValRow, ...]
+    Axes: model (``model_names``), series (``series``, panel order), fold
+    and step.  ``cutoffs[s, f]`` is a fold's train length, ``y[s, f, k]``
+    its actuals and ``yhat[m, s, f, k]`` the point forecasts.
+    ``quantiles[m]`` is ``[s, f, k, level]``, or None for a model whose
+    forecasts carry no quantiles.  ``failed[m, s, f]`` marks failed folds,
+    whose forecast cells hold NaN.  ``timestamps[s]`` is the panel's own
+    timestamp tuple.  ``rows`` is a derived row-per-step view.
+    """
+
     model_names: tuple[str, ...]
+    series: tuple[str, ...]
+    timestamps: tuple[tuple[datetime, ...], ...]
+    cutoffs: np.ndarray
+    y: np.ndarray
+    yhat: np.ndarray
+    quantiles: tuple[np.ndarray | None, ...]
+    failed: np.ndarray
     levels: tuple[float, ...] | None
     h: int
     n_windows: int
     step: int
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.yhat.size
 
     def keys(self) -> list[str]:
-        return sorted({row.key for row in self.rows})
+        return sorted(self.series)
+
+    def _folds(self):
+        """Per fold, in row order: model, key, cutoff, the series'
+        timestamps, actuals, forecasts, quantile rows (None for a
+        quantile-free model) and whether the fold failed."""
+        for mi, model in enumerate(self.model_names):
+            q = self.quantiles[mi]
+            for si, key in enumerate(self.series):
+                for fi, cutoff in enumerate(self.cutoffs[si].tolist()):
+                    yield (
+                        model, key, cutoff, self.timestamps[si],
+                        self.y[si, fi].tolist(), self.yhat[mi, si, fi].tolist(),
+                        None if q is None else list(map(tuple, q[si, fi].tolist())),
+                        bool(self.failed[mi, si, fi]),
+                    )
+
+    @property
+    def rows(self) -> tuple[CrossValRow, ...]:
+        """One row per forecast step, ordered by (model, series, cutoff,
+        step); rebuilt from the arrays on every access."""
+        nan_q = None if self.levels is None else (float("nan"),) * len(self.levels)
+        rows = []
+        for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
+            if failed or q is None:
+                q = [nan_q if failed else None] * self.h
+            rows.extend(
+                CrossValRow(
+                    key, cutoff, stamps[cutoff - 1], model, k + 1, stamps[cutoff + k],
+                    y[k], yhat[k], q[k], failed,
+                )
+                for k in range(self.h)
+            )
+        return tuple(rows)
 
     def csv_header(self) -> str:
         cells = ["unique_id", "cutoff", "model", "step", "ds", "y", "yhat"]
@@ -126,25 +175,19 @@ class CrossValReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
-        stamps = {row.cutoff_ts for row in self.rows} | {row.ds for row in self.rows}
-        stamp_text = {ts: format_timestamp(ts) for ts in stamps}
+        fmt = "{:.12g}".format
+        stamp_text = {ts: format_timestamp(ts) for ts in set().union(*self.timestamps)}
+        nan_cells = ",nan" * (0 if self.levels is None else len(self.levels))
         lines = [self.csv_header()]
-        n_levels = 0 if self.levels is None else len(self.levels)
-        for row in self.rows:
-            cells = [
-                row.key,
-                stamp_text[row.cutoff_ts],
-                row.model,
-                str(row.step),
-                stamp_text[row.ds],
-                f"{row.y:.12g}",
-                f"{row.yhat:.12g}",
-            ]
-            if n_levels:
-                q = row.quantiles if row.quantiles is not None else (float("nan"),) * n_levels
-                cells.extend(f"{v:.12g}" for v in q)
-            cells.append("true" if row.failed else "false")
-            lines.append(",".join(cells))
+        for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
+            head = f"{key},{stamp_text[stamps[cutoff - 1]]},{model},"
+            flag = ",true" if failed else ",false"
+            for k in range(self.h):
+                q_cells = nan_cells if q is None else "," + ",".join(map(fmt, q[k]))
+                lines.append(
+                    f"{head}{k + 1},{stamp_text[stamps[cutoff + k]]},"
+                    f"{fmt(y[k])},{fmt(yhat[k])}{q_cells}{flag}"
+                )
         return _emit_csv(lines, path_or_buffer)
 
 
@@ -155,41 +198,17 @@ def _as_forecaster(spec):
 
 
 def _evaluate_fold(forecaster, panel, key, cutoff, h, levels):
-    """Rows for one (model, series, cutoff) fold; forecasting failures
-    become markers."""
+    """The forecast entry of one (model, series, cutoff) fold, or None on a
+    forecasting failure."""
     series = panel[key]
-    cutoff_ts = series.timestamps[cutoff - 1]
-    actual_ts = series.timestamps[cutoff : cutoff + h]
-    actual_y = series.values[cutoff : cutoff + h].tolist()
-    name = forecaster.name
     try:
         train = SeriesPanel._from_prefixes(
             {key: Series(series.timestamps[:cutoff], series.values[:cutoff])},
             panel.freq,
         )
-        frame = forecaster.forecast(train, h, levels)
-        entry = frame[key]
-        yhat = entry.mean.tolist()
-        if frame.levels is None:
-            quantiles = [None] * h
-        else:
-            quantiles = [tuple(q) for q in entry.quantiles.tolist()]
-        return [
-            CrossValRow(
-                key, cutoff, cutoff_ts, name, k + 1, actual_ts[k],
-                actual_y[k], yhat[k], quantiles[k],
-            )
-            for k in range(h)
-        ]
+        return forecaster.forecast(train, h, levels)[key]
     except _FORECAST_FAILURES:
-        nan_q = None if levels is None else (float("nan"),) * len(levels)
-        return [
-            CrossValRow(
-                key, cutoff, cutoff_ts, name, k + 1, actual_ts[k],
-                actual_y[k], float("nan"), nan_q, failed=True,
-            )
-            for k in range(h)
-        ]
+        return None
 
 
 def cross_validate(
@@ -207,7 +226,7 @@ def cross_validate(
     ready forecaster objects.  Each fold trains on the first ``cutoff``
     observations only; the following ``h`` actuals are recorded verbatim.
     A forecasting failure of one (model, series, fold) is recorded as a
-    marker and never aborts the run; a programming error propagates.
+    failed fold and never aborts the run; a programming error propagates.
     """
     if len(panel) == 0:
         raise ConfigError("cannot cross-validate an empty panel")
@@ -224,43 +243,52 @@ def cross_validate(
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise ConfigError(f"duplicate model name(s) in list: {', '.join(dupes)}")
 
-    plans = {}
-    for key, series in panel.items():
+    keys = tuple(panel.keys())
+    plans = []
+    for key in keys:
         try:
-            plans[key] = rolling_cutoffs(len(series), h, n_windows, step)
+            plans.append(rolling_cutoffs(len(panel[key]), h, n_windows, step))
         except SeriesTooShortError as exc:
             raise SeriesTooShortError(f"series {key!r}: {exc}") from None
     step_val = h if step is None else int(step)
+    h, n_windows = int(h), int(n_windows)
 
-    tasks = [
-        (mi, key, fi, plans[key].cutoffs[fi])
-        for mi in range(len(forecasters))
-        for key in panel.keys()
-        for fi in range(n_windows)
+    shape = (len(forecasters), len(keys), n_windows)
+    cutoffs = np.array([plan.cutoffs for plan in plans], dtype=int)
+    y = np.array([
+        [panel[key].values[c : c + h] for c in plan.cutoffs]
+        for key, plan in zip(keys, plans)
+    ])
+    yhat = np.full(shape + (h,), np.nan)
+    failed = np.zeros(shape, dtype=bool)
+    quantiles = [
+        None if levels is None else np.full(shape[1:] + (h, len(levels)), np.nan)
+        for _ in forecasters
     ]
-    results = {}
-    if n_jobs == 1:
-        for mi, key, fi, cutoff in tasks:
-            results[(mi, key, fi)] = _evaluate_fold(
-                forecasters[mi], panel, key, cutoff, h, levels
-            )
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {
-                (mi, key, fi): pool.submit(
-                    _evaluate_fold, forecasters[mi], panel, key, cutoff, h, levels
-                )
-                for mi, key, fi, cutoff in tasks
-            }
-            results = {task: fut.result() for task, fut in futures.items()}
 
-    rows = []
-    for mi in range(len(forecasters)):
-        for key in panel.keys():
-            for fi in range(n_windows):
-                rows.extend(results[(mi, key, fi)])
+    folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
+
+    def evaluate(fold):
+        mi, si, fi = fold
+        return _evaluate_fold(
+            forecasters[mi], panel, keys[si], plans[si].cutoffs[fi], h, levels
+        )
+
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        entries = map(evaluate, folds) if n_jobs == 1 else pool.map(evaluate, folds)
+        for (mi, si, fi), entry in zip(folds, entries):
+            if entry is None:
+                failed[mi, si, fi] = True
+                continue
+            yhat[mi, si, fi] = entry.mean
+            if entry.quantiles is None:
+                quantiles[mi] = None  # the model forecasts no quantiles
+            elif quantiles[mi] is not None:
+                quantiles[mi][si, fi] = entry.quantiles
+
     return CrossValReport(
-        tuple(rows), tuple(names), levels, int(h), int(n_windows), step_val
+        tuple(names), keys, tuple(panel[key].timestamps for key in keys), cutoffs,
+        y, yhat, tuple(quantiles), failed, levels, h, n_windows, step_val,
     )
 
 
@@ -403,74 +431,57 @@ class EvalReport:
         return _emit_csv(lines, path_or_buffer)
 
 
-def _score_model(name, rows, cv_levels, panel, season_length):
-    failed_folds = {(r.key, r.cutoff) for r in rows if r.failed}
-    ok = [r for r in rows if not r.failed]
+def _score_model(cv, model_index, panel, season_length):
+    ok = ~cv.failed[model_index]
+    yhat, q, levels = cv.yhat[model_index], cv.quantiles[model_index], cv.levels
+    has_quantiles = levels is not None and q is not None and bool(ok.any())
 
-    by_series: dict[str, list[CrossValRow]] = {}
-    for row in ok:
-        by_series.setdefault(row.key, []).append(row)
-
-    # Point accuracy: per-fold MASE, averaged within series, then across.
-    series_mase = []
-    mase_excluded = 0
-    for key, series_rows in sorted(by_series.items()):
-        folds: dict[int, list[CrossValRow]] = {}
-        for row in series_rows:
-            folds.setdefault(row.cutoff, []).append(row)
+    # Over the series with a successful fold: per-fold MASE averaged within
+    # the series, and the series' pooled CRPS over its mean absolute actual.
+    series_mase, normalized = [], []
+    mase_excluded = crps_excluded = 0
+    for si in np.flatnonzero(ok.any(axis=1)):
+        train_full = panel[cv.series[si]].values
         fold_values = []
-        train_full = panel[key].values
-        for cutoff, fold_rows in sorted(folds.items()):
-            fold_rows.sort(key=lambda r: r.step)
-            train = train_full[:cutoff]
+        for fi in np.flatnonzero(ok[si]):
+            train = train_full[: cv.cutoffs[si, fi]]
             lag = season_length if train.size > season_length else 1
-            value = mase(
-                [r.y for r in fold_rows], [r.yhat for r in fold_rows], train, lag
-            )
+            value = mase(cv.y[si, fi], yhat[si, fi], train, lag)
             if value is not None:
                 fold_values.append(value)
         if fold_values:
             series_mase.append(float(np.mean(fold_values)))
         else:
             mase_excluded += 1
-    mase_value = float(np.mean(series_mase)) if series_mase else None
-
-    has_quantiles = (
-        cv_levels is not None
-        and bool(ok)
-        and all(r.quantiles is not None for r in ok)
-    )
-    crps_value = None
-    crps_excluded = 0
-    pinball_by_level: dict[float, float] = {}
-    coverage_value = None
-    if has_quantiles:
-        normalized = []
-        for key, series_rows in sorted(by_series.items()):
-            y = np.array([r.y for r in series_rows])
-            q = np.array([r.quantiles for r in series_rows])
+        if has_quantiles:
+            y = cv.y[si, ok[si]].reshape(-1)
             normalizer = float(np.mean(np.abs(y)))
             if normalizer == 0.0:
                 crps_excluded += 1
-                continue
-            normalized.append(crps_approx(y, q, cv_levels) / normalizer)
-        crps_value = float(np.mean(normalized)) if normalized else None
+            else:
+                series_q = q[si, ok[si]].reshape(-1, len(levels))
+                normalized.append(crps_approx(y, series_q, levels) / normalizer)
+    mase_value = float(np.mean(series_mase)) if series_mase else None
+    crps_value = float(np.mean(normalized)) if normalized else None
 
-        all_y = np.array([r.y for r in ok])
-        all_q = np.array([r.quantiles for r in ok])
-        for j, level in enumerate(cv_levels):
+    pinball_by_level: dict[float, float] = {}
+    coverage_value = None
+    if has_quantiles:
+        all_y = cv.y[ok].reshape(-1)
+        all_q = q[ok].reshape(-1, len(levels))
+        for j, level in enumerate(levels):
             pinball_by_level[level] = float(np.mean(pinball(all_y, all_q[:, j], level)))
-        if len(cv_levels) >= 2:
-            coverage_value = coverage(all_y, all_q, cv_levels, cv_levels[0], cv_levels[-1])
+        if len(levels) >= 2:
+            coverage_value = coverage(all_y, all_q, levels, levels[0], levels[-1])
 
     return ModelScore(
-        model=name,
+        model=cv.model_names[model_index],
         rank=0,
         mase=mase_value,
         crps=crps_value,
         pinball_by_level=pinball_by_level,
         coverage=coverage_value,
-        failures=len(failed_folds),
+        failures=int(cv.failed[model_index].sum()),
         mase_excluded=mase_excluded,
         crps_excluded=crps_excluded,
     )
@@ -480,18 +491,14 @@ def aggregate_leaderboard(cv: CrossValReport, panel: SeriesPanel) -> EvalReport:
     """Collapse a cross-validation report into ranked per-model scores.
 
     Models are ranked by normalized CRPS when every model produced
-    quantiles, otherwise by MASE; ties break on the model name.  Failure
-    markers never enter the metrics; they are counted per model.
+    quantiles, otherwise by MASE; ties break on the model name.  Failed
+    folds never enter the metrics; they are counted per model.
     """
-    if not cv.rows:
+    if len(cv) == 0:
         raise ConfigError("cannot aggregate an empty cross-validation report")
-    by_model: dict[str, list[CrossValRow]] = {name: [] for name in cv.model_names}
-    for row in cv.rows:
-        by_model[row.model].append(row)
-
     scores = [
-        _score_model(name, rows, cv.levels, panel, panel.season_length)
-        for name, rows in by_model.items()
+        _score_model(cv, mi, panel, panel.season_length)
+        for mi in range(len(cv.model_names))
     ]
     ranked_by = "crps" if all(s.crps is not None for s in scores) else "mase"
 

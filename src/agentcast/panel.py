@@ -96,19 +96,19 @@ def level_column(level: float) -> str:
     return f"q{level * 100:g}"
 
 
-def _add_months(anchor: datetime, months: int) -> datetime:
-    """Shift by whole months, preserving anchor day clamped to month end."""
+def _add_months(anchor: datetime, months: int, day: int) -> datetime:
+    """Shift by whole months onto ``day``, clamped to the month's end."""
     month_index = anchor.month - 1 + months
     year = anchor.year + month_index // 12
     month = month_index % 12 + 1
-    day = min(anchor.day, calendar.monthrange(year, month)[1])
-    return anchor.replace(year=year, month=month, day=day)
+    month_days = calendar.mdays[month] + (month == 2 and calendar.isleap(year))
+    return anchor.replace(year=year, month=month, day=min(day, month_days))
 
 
 def _grid_point(anchor: datetime, freq: Frequency, steps: int) -> datetime:
     """The grid instant ``steps`` frequency steps after ``anchor``."""
     if freq.unit in _MONTH_STEPS:
-        return _add_months(anchor, _MONTH_STEPS[freq.unit] * steps)
+        return _add_months(anchor, _MONTH_STEPS[freq.unit] * steps, anchor.day)
     return anchor + _TIMEDELTA_STEPS[freq.unit] * steps
 
 
@@ -129,14 +129,9 @@ def _matches_grid(timestamps: Sequence[datetime], freq: Frequency) -> bool:
     # observed days are clamped.  Recover it as the largest day seen.
     anchor_day = max(ts.day for ts in timestamps)
     step = _MONTH_STEPS[freq.unit]
-    for i, ts in enumerate(timestamps):
-        month_index = anchor.month - 1 + step * i
-        year = anchor.year + month_index // 12
-        month = month_index % 12 + 1
-        day = min(anchor_day, calendar.monthrange(year, month)[1])
-        if ts != anchor.replace(year=year, month=month, day=day):
-            return False
-    return True
+    return all(
+        ts == _add_months(anchor, step * i, anchor_day) for i, ts in enumerate(timestamps)
+    )
 
 
 def infer_frequency(timestamps: Sequence[datetime]) -> Frequency:

@@ -5,7 +5,7 @@ import urllib.request
 
 import pytest
 
-from agentcast.cli import main
+from agentcast.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,16 @@ class TestCrossvalCommand:
         _, seq, _ = run_cli(capsys, *base, "--jobs", "1")
         _, par, _ = run_cli(capsys, *base, "--jobs", "4")
         assert seq == par
+
+    def test_jobs_defaults_to_one(self):
+        # The fold pool is GIL-bound on builtin models; one worker is fastest.
+        parser = build_parser()
+        for argv in (
+            ["crossval", "--models", "naive", "--h", "12"],
+            ["evaluate", "--models", "naive", "--h", "12"],
+            ["agent"],
+        ):
+            assert parser.parse_args([*argv, "--input", "data.csv"]).jobs == 1
 
 
 class TestEvaluateCommand:

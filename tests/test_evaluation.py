@@ -1,4 +1,5 @@
 import calendar
+import hashlib
 from datetime import datetime
 
 import numpy as np
@@ -226,6 +227,90 @@ class TestCrossValidate:
         assert lines[0].endswith(",failed")
         assert len(lines) == 49
         assert all(line.endswith(",false") for line in lines[1:])
+
+
+def mixed_length_panel():
+    """Series of 23 to 40 points.  At h=12, two folds and step 3,
+    seasonalnaive fails both folds of ``a`` and the first of ``c``, and
+    ``zero`` has no MASE or CRPS scale."""
+    t = np.arange(40, dtype=float)
+    return make_panel({
+        "a": list(10.0 + np.sin(t[:23])),
+        "b": list(50.0 + 2.0 * t + 5.0 * np.cos(t / 2.0)),
+        "c": list(np.where(t[:26].astype(int) % 3 == 0, 4.0, 0.0) + 0.1 * t[:26]),
+        "zero": [0.0] * 36,
+    })
+
+
+# SHA-256 of cv.to_csv() and of the leaderboard's to_csv(), frozen from the
+# row-per-step report that preceded the array one.
+CSV_DIGESTS = {
+    "air_passengers": (
+        ["naive", "seasonalnaive", "ses", "theta", "croston", "adida",
+         "median_ensemble:seasonalnaive+theta+croston"],
+        dict(h=12, n_windows=3),
+        "b58856ed4be527d5436cd248a11756a606ebfedd70df96804361cd66f17d540b",
+        "289e1a40b64452a38d49a560aa905c7fe3e0ff1d6d9c230397e814586977e676",
+    ),
+    "mixed_length": (
+        ["naive", "seasonalnaive", "croston", "theta"],
+        dict(h=12, n_windows=2, step=3),
+        "277b10fdf4b81c5249976798286cc1047beee6ac7162d395bedd87ab0327965e",
+        "e5dcf0c4a7c6824d6064e73139f60addc6e822f950b531f0a902f1bae66b4040",
+    ),
+    "no_levels": (
+        ["naive", "theta", "croston", "median_ensemble:naive+theta+croston"],
+        dict(h=12, n_windows=2, levels=None),
+        "6a91980c0426cca460f212d04d1e1b3036d7b2b7cd77bbfda24ccdaf27f158d9",
+        "6a698c32c569472fd7d60ac301a602539bdc062049b0c998d51bd4e6a0ec3ea5",
+    ),
+}
+
+
+class TestCrossValReportArrays:
+    @pytest.mark.parametrize("case", sorted(CSV_DIGESTS))
+    def test_csv_bytes_unchanged(self, case, air_passengers):
+        models, kwargs, cv_digest, board_digest = CSV_DIGESTS[case]
+        panel = mixed_length_panel() if case == "mixed_length" else air_passengers
+        cv = cross_validate(panel, models, **kwargs)
+        board = aggregate_leaderboard(cv, panel)
+        assert hashlib.sha256(cv.to_csv().encode()).hexdigest() == cv_digest
+        assert hashlib.sha256(board.to_csv().encode()).hexdigest() == board_digest
+
+    def test_rows_are_a_view_of_the_arrays(self):
+        panel = mixed_length_panel()
+        cv = cross_validate(panel, ["seasonalnaive", "croston"], 12, n_windows=2, step=3)
+        rows = cv.rows
+        assert len(cv) == len(rows) == cv.yhat.size
+        assert cv.quantiles[1] is None  # croston forecasts no quantiles
+        assert cv.failed[0].sum() == 3 and not cv.failed[1].any()
+        i = 0
+        for mi, model in enumerate(cv.model_names):
+            for si, key in enumerate(cv.series):
+                stamps = panel[key].timestamps
+                for fi, cutoff in enumerate(cv.cutoffs[si]):
+                    failed = bool(cv.failed[mi, si, fi])
+                    for k in range(cv.h):
+                        row = rows[i]
+                        i += 1
+                        assert (row.model, row.key, row.cutoff, row.step) == (
+                            model, key, cutoff, k + 1
+                        )
+                        assert row.cutoff_ts == stamps[cutoff - 1]
+                        assert row.ds == stamps[cutoff + k]
+                        assert row.y == cv.y[si, fi, k]
+                        assert row.failed is failed
+                        if failed:
+                            assert np.isnan(row.yhat)
+                            assert len(row.quantiles) == len(cv.levels)
+                            assert all(np.isnan(v) for v in row.quantiles)
+                        else:
+                            assert row.yhat == cv.yhat[mi, si, fi, k]
+                            if cv.quantiles[mi] is None:
+                                assert row.quantiles is None
+                            else:
+                                assert row.quantiles == tuple(cv.quantiles[mi][si, fi, k])
+        assert i == len(rows)
 
 
 def validated_fold_rows(forecaster, panel, key, cutoff, h, levels):
@@ -527,7 +612,20 @@ class TestAggregateLeaderboard:
 
     def test_empty_report_rejected(self, air_passengers):
         cv = cross_validate(air_passengers, ["naive"], 12)
-        empty = CrossValReport((), cv.model_names, cv.levels, 12, 1, 12)
+        empty = CrossValReport(
+            model_names=cv.model_names,
+            series=(),
+            timestamps=(),
+            cutoffs=np.zeros((0, 1), dtype=int),
+            y=np.zeros((0, 1, 12)),
+            yhat=np.zeros((1, 0, 1, 12)),
+            quantiles=(None,),
+            failed=np.zeros((1, 0, 1), dtype=bool),
+            levels=cv.levels,
+            h=12,
+            n_windows=1,
+            step=12,
+        )
         with pytest.raises(ConfigError):
             aggregate_leaderboard(empty, air_passengers)
 

@@ -1,5 +1,6 @@
+import calendar
 import io
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from agentcast.panel import (
     future_grid,
     infer_frequency,
     parse_panel,
+    _add_months,
+    _matches_grid,
     train_test_split,
 )
 
@@ -89,6 +92,37 @@ class TestFutureGrid:
             assert len(grid) == 25
             assert all(b > a for a, b in zip(grid, grid[1:]))
             assert grid[0] > ts(2020, 5, 17)
+
+
+def monthrange_add_months(anchor, months, day):
+    """Reference month step, clamping through ``calendar.monthrange``."""
+    month_index = anchor.month - 1 + months
+    year, month = anchor.year + month_index // 12, month_index % 12 + 1
+    return anchor.replace(
+        year=year, month=month, day=min(day, calendar.monthrange(year, month)[1])
+    )
+
+
+class TestMonthArithmetic:
+    ANCHORS = [ts(1900, 1, d) for d in (28, 29, 30, 31)] + [ts(1900, 2, 28), ts(1904, 2, 29, 6)]
+
+    def test_month_steps_match_monthrange(self):
+        for anchor in self.ANCHORS:
+            for day in sorted({anchor.day, 28, 29, 30, 31}):
+                for months in range(12 * 201):
+                    assert _add_months(anchor, months, day) == monthrange_add_months(
+                        anchor, months, day
+                    )
+
+    def test_month_based_grids_match_monthrange(self):
+        for anchor in self.ANCHORS:
+            for unit, step in (("M", 1), ("Q", 3), ("Y", 12)):
+                n = 12 * 201 // step
+                want = [monthrange_add_months(anchor, step * i, anchor.day) for i in range(n)]
+                assert future_grid(anchor, Frequency(unit), n - 1) == want[1:]
+                assert _matches_grid(want, Frequency(unit))
+                moved = want[:5] + [want[5] - timedelta(days=1)] + want[6:]
+                assert not _matches_grid(moved, Frequency(unit))
 
 
 class TestParsePanel:
