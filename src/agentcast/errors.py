@@ -40,6 +40,12 @@ class SeriesTooShortError(AgentcastError):
     category = "series-too-short"
 
 
+class NonFiniteForecastError(AgentcastError):
+    """A model turned finite input into a non-finite mean or quantile."""
+
+    category = "non-finite-forecast"
+
+
 class AlignmentError(AgentcastError):
     """Frames passed to an ensemble disagree on keys, timestamps or levels."""
 

@@ -5,8 +5,10 @@ seasonal strength is high, then regular differences while the KPSS
 test keeps rejecting level stationarity (d <= 2).  A stepwise search
 over small (p,q)(P,Q) orders fits each candidate by Nelder-Mead on the
 conditional sum of squares and scores it with AICc; non-stationary or
-non-invertible fits are skipped.  Forecast variance accumulates
-psi-weights of the fitted (integrated) lag polynomials.
+non-invertible fits are skipped.  Each CSS objective call is one
+``convolve`` (the AR half) plus one IIR ``lfilter`` (the MA half, none
+for a pure AR order).  Forecast variance accumulates psi-weights of the
+fitted (integrated) lag polynomials.
 """
 
 from __future__ import annotations
@@ -77,32 +79,28 @@ def _order_label(p, d, q, P, D, Q, m) -> str:
     return base
 
 
-def _seasonal_poly(coeffs: np.ndarray, m: int, sign: float) -> np.ndarray:
-    """[1, 0, ..., sign*c1 at lag m, ...]; sign -1 for AR, +1 for MA."""
-    poly = np.zeros(len(coeffs) * m + 1)
-    poly[0] = 1.0
-    for i, c in enumerate(coeffs):
-        poly[(i + 1) * m] = sign * c
-    return poly
+def _lag_polys(p, q, P, Q, m):
+    """params -> (ar_poly, ma_poly), rewriting one [1, 0, ...] array per
+    factor in place; a seasonal factor holds -SAR (AR) or +SMA (MA) at lag m."""
+    ar, ma, sar, sma = (np.r_[1.0, np.zeros(k)] for k in (p, q, P * m, Q * m))
 
+    def polys(params):
+        ar[1:] = -params[:p]
+        ma[1:] = params[p : p + q]
+        sar[m::m] = -params[p + q : p + q + P]
+        sma[m::m] = params[p + q + P : p + q + P + Q]
+        return (np.convolve(ar, sar) if P else ar), (np.convolve(ma, sma) if Q else ma)
 
-def _lag_polys(params, p, q, P, Q, m):
-    ar = params[:p]
-    ma = params[p : p + q]
-    sar = params[p + q : p + q + P]
-    sma = params[p + q + P : p + q + P + Q]
-    ar_poly = np.r_[1.0, -ar]
-    if P:
-        ar_poly = np.polymul(ar_poly, _seasonal_poly(sar, m, -1.0))
-    ma_poly = np.r_[1.0, ma]
-    if Q:
-        ma_poly = np.polymul(ma_poly, _seasonal_poly(sma, m, 1.0))
-    return ar, ma, sar, sma, ar_poly, ma_poly
+    return polys
 
 
 def _css_residuals(w, ar_poly, ma_poly, c):
-    z = lfilter(ar_poly, [1.0], w) - c
-    return lfilter([1.0], ma_poly, z)
+    # lfilter(ar_poly, [1.0], w) is scipy's convolve(b, x)[:len(x)]; numpy swaps
+    # operands only when the second is longer, so convolve(w, ar_poly) would sum
+    # in another order when len(w) == len(ar_poly).  An identity MA filter would
+    # only turn -0.0 into 0.0, and convolve never returns -0.0.
+    z = np.convolve(ar_poly, w)[: len(w)] - c
+    return z if len(ma_poly) == 1 else lfilter([1.0], ma_poly, z)
 
 
 def _roots_outside(poly: np.ndarray) -> bool:
@@ -122,25 +120,26 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
     if n_eff <= n_coef + 2:
         return None
 
+    polys = _lag_polys(p, q, P, Q, m)
+
     def objective(params):
         c = params[-1] if use_intercept else 0.0
-        _, _, _, _, ar_poly, ma_poly = _lag_polys(params, p, q, P, Q, m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps = _css_residuals(w, ar_poly, ma_poly, c)
-            css = float(np.sum(eps[burn:] ** 2))
+        eps = _css_residuals(w, *polys(params), c)
+        css = float(np.sum(eps[burn:] ** 2))
         return css if np.isfinite(css) else 1e300
 
     x0 = np.zeros(n_coef)
     if use_intercept:
         x0[-1] = w.mean()
     if n_coef:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-10})
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-10})
         params = res.x
     else:
         params = x0
     c = params[-1] if use_intercept else 0.0
-    ar, ma, sar, sma, ar_poly, ma_poly = _lag_polys(params, p, q, P, Q, m)
+    ar_poly, ma_poly = polys(params)
     if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
         return None
     eps = _css_residuals(w, ar_poly, ma_poly, c)
@@ -155,7 +154,8 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
     aicc = -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n_eff - k - 1)
     return {
         "aicc": aicc, "sigma2": sigma2, "c": c if use_intercept else None,
-        "ar": ar, "ma": ma, "sar": sar, "sma": sma,
+        "ar": params[:p], "ma": params[p : p + q],
+        "sar": params[p + q : p + q + P], "sma": params[p + q + P : p + q + P + Q],
         "ar_poly": ar_poly, "ma_poly": ma_poly, "eps": eps,
     }
 
@@ -260,10 +260,8 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
 
 def _difference_poly(d: int, D: int, m: int) -> np.ndarray:
     poly = np.array([1.0])
-    for _ in range(d):
-        poly = np.polymul(poly, [1.0, -1.0])
-    for _ in range(D):
-        poly = np.polymul(poly, _seasonal_poly(np.array([1.0]), m, -1.0))
+    for factor in [[1.0, -1.0]] * d + [np.r_[1.0, np.zeros(m - 1), -1.0]] * D:
+        poly = np.convolve(poly, factor)
     return poly
 
 
@@ -300,7 +298,7 @@ def forecast_arima(fit: ARIMAFit, h: int, levels=None):
 
     if levels is None:
         return fore, None
-    full_ar = np.polymul(ar_poly, _difference_poly(order.d, order.D, order.m))
+    full_ar = np.convolve(ar_poly, _difference_poly(order.d, order.D, order.m))
     impulse = np.zeros(h)
     impulse[0] = 1.0
     psi = lfilter(ma_poly, full_ar, impulse)

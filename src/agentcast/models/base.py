@@ -3,7 +3,8 @@
 A forecaster is a pure function of (series, config): ``_forecast_series``
 maps one value array to ``h`` point forecasts plus an optional quantile
 matrix, and the panel driver attaches future timestamps and applies the
-naive-fallback policy for the auto models.
+naive-fallback policy for the auto models.  A non-finite mean or quantile
+counts as a forecasting failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..errors import _FORECAST_FAILURES, InsufficientDataError
+from ..errors import _FORECAST_FAILURES, InsufficientDataError, NonFiniteForecastError
 from ..panel import (
     DEFAULT_LEVELS,
     ForecastEntry,
@@ -65,14 +66,25 @@ class Forecaster:
             fallback = False
             try:
                 mean, quantiles = self._forecast_series(s.values, m, h, levels)
+                _check_finite(mean, quantiles, self.name, key)
             except _FORECAST_FAILURES:
                 if not self.fallback_to_naive:
                     raise
                 mean, quantiles = _naive_series(s.values, h, levels)
+                _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
                 fallback = True
             timestamps = tuple(future_grid(s.timestamps[-1], panel.freq, h))
             entries[key] = ForecastEntry(timestamps, mean, quantiles, fallback)
         return ForecastFrame(self.name, entries, levels)
+
+
+def _check_finite(mean, quantiles, model: str, key: str) -> None:
+    """A non-finite mean or quantile is a forecasting failure, so auto
+    models fall back to naive and cross-validation fails the fold."""
+    if not np.isfinite(mean).all() or (
+        quantiles is not None and not np.isfinite(quantiles).all()
+    ):
+        raise NonFiniteForecastError(f"{model} gave a non-finite forecast for series {key!r}")
 
 
 def _naive_series(

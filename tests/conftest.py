@@ -65,6 +65,14 @@ def parse_csv_text(text, **kwargs):
     return parse_panel(io.StringIO(text), **kwargs)
 
 
+def parse_monthly(values, key="s"):
+    """A one-series monthly panel parsed from CSV text, starting 2000-01."""
+    rows = ["unique_id,ds,y"] + [
+        f"{key},{2000 + i // 12}-{i % 12 + 1:02d}-01,{float(v)!r}" for i, v in enumerate(values)
+    ]
+    return parse_csv_text("\n".join(rows) + "\n")
+
+
 class TypeErrorForecaster(Forecaster):
     """Test double with a programming error: every fit raises TypeError."""
 

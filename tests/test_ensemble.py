@@ -255,3 +255,56 @@ class TestEnsembleForecaster:
         panel = make_panel({"s": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]})
         frame = EnsembleForecaster([get_model("croston")]).forecast(panel, 2, levels=None)
         assert frame.levels is None
+
+
+finite_cells = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+
+
+@st.composite
+def finite_quantile_matrices(draw):
+    n_levels = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(finite_cells, min_size=n_levels, max_size=n_levels),
+                         min_size=1, max_size=12))
+    return np.array(rows, dtype=float)
+
+
+@st.composite
+def member_frames(draw):
+    """1-6 aligned members; some carry h x L quantiles, some only means."""
+    h, n_levels = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    levels = tuple(np.linspace(0.1, 0.9, n_levels)) if n_levels > 1 else (0.5,)
+    frames = []
+    for i in range(draw(st.integers(1, 6))):
+        mean = draw(st.lists(finite_cells, min_size=h, max_size=h))
+        q = None
+        if i == 0 or draw(st.booleans()):
+            cells = draw(st.lists(finite_cells, min_size=h * n_levels, max_size=h * n_levels))
+            q = {"s": np.array(cells).reshape(h, n_levels)}
+        frames.append(frame_from({"s": mean}, f"m{i}", None if q is None else levels, q))
+    return frames
+
+
+class TestEnsembleProperties:
+    @settings(max_examples=300)
+    @given(finite_quantile_matrices())
+    def test_monotonize_is_monotone_and_keeps_row_means(self, q):
+        levels = tuple(np.linspace(0.05, 0.95, q.shape[1]))
+        frame = frame_from({"s": np.arange(q.shape[0], dtype=float)}, levels=levels,
+                           quantiles_by_key={"s": q.copy()})
+        out = monotonize_quantiles(frame)["s"]
+        assert (np.diff(out.quantiles, axis=1) >= 0).all()
+        # PAVA pools into block means, so each row sum is kept up to rounding
+        scale = max(1.0, float(np.abs(q).max()))
+        np.testing.assert_allclose(out.quantiles.mean(axis=1), q.mean(axis=1),
+                                   rtol=0, atol=1e-12 * scale)
+        assert out.mean.tobytes() == frame["s"].mean.tobytes()
+
+    @settings(max_examples=300)
+    @given(member_frames())
+    def test_median_stays_inside_member_envelope(self, frames):
+        out = median_ensemble(frames)["s"]
+        means = np.stack([f["s"].mean for f in frames])
+        assert (means.min(axis=0) <= out.mean).all() and (out.mean <= means.max(axis=0)).all()
+        cells = np.stack([f["s"].quantiles for f in frames if f.levels is not None])
+        assert (cells.min(axis=0) <= out.quantiles).all()
+        assert (out.quantiles <= cells.max(axis=0)).all()

@@ -30,7 +30,7 @@ from agentcast.panel import (
     future_grid,
 )
 
-from conftest import TypeErrorForecaster, make_panel
+from conftest import TypeErrorForecaster, make_panel, parse_monthly
 
 
 class LinearOracle:
@@ -164,6 +164,13 @@ class TestCrossValidate:
         assert len(first) == len(second) == 12
         assert all(r.failed and np.isnan(r.yhat) for r in first)
         assert all(not r.failed and np.isfinite(r.yhat) for r in second)
+
+    def test_non_finite_forecast_fails_the_fold(self):
+        # naive's quantiles overflow to -inf on this finite series; croston
+        # emits no quantiles and stays finite
+        panel = parse_monthly(np.random.default_rng(0).normal(0.0, 1e200, 48))
+        cv = cross_validate(panel, ["naive", "croston"], 12, n_windows=2)
+        assert cv.failed[0].all() and not cv.failed[1].any()
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_programming_error_propagates(self, n_jobs):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from agentcast.errors import InsufficientDataError, SeriesTooShortError, UnknownModelError
+from agentcast.errors import (
+    InsufficientDataError,
+    NonFiniteForecastError,
+    SeriesTooShortError,
+    UnknownModelError,
+)
 from agentcast.models import (
+    Forecaster,
     MODEL_REGISTRY,
     arima_fit,
     available_models,
@@ -20,7 +27,7 @@ from agentcast.models import (
 from agentcast.models.ets import SEASONS, TRENDS, _smooth
 from agentcast.panel import DEFAULT_LEVELS, future_grid
 
-from conftest import TypeErrorForecaster, make_panel
+from conftest import TypeErrorForecaster, make_panel, parse_monthly
 
 GAUSSIAN_MODELS = ["naive", "seasonalnaive", "historicaverage", "ses", "theta", "autoarima"]
 ADDITIVE_MODELS = ["naive", "seasonalnaive", "historicaverage", "ses", "theta", "autoets"]
@@ -29,6 +36,16 @@ ADDITIVE_MODELS = ["naive", "seasonalnaive", "historicaverage", "ses", "theta", 
 def one(frame):
     """The single entry of a one-series frame."""
     return frame[frame.keys()[0]]
+
+
+def sha256_of(*parts):
+    """Hex SHA-256 over raw bytes and the float64 bytes of arrays."""
+    h = hashlib.sha256()
+    for part in parts:
+        if not isinstance(part, bytes):
+            part = np.asarray(part, dtype=float).tobytes()
+        h.update(part)
+    return h.hexdigest()
 
 
 class TestRegistry:
@@ -421,6 +438,87 @@ class TestAutoARIMA:
         assert entry.fallback
         np.testing.assert_allclose(entry.mean, [9.0, 9.0])
 
+    def test_bytes_are_frozen(self, air_passengers):
+        # SHA-256 of the float64 bytes, frozen before the CSS objective
+        # dropped polymul, np.r_ and the FIR lfilter; kernel changes keep
+        # them.  AirPassengers covers the seasonal difference and the P/Q
+        # polynomials, white noise the intercept, the drift series d=1.
+        white = np.random.default_rng(0).normal(5.0, 2.0, 300)
+        drift = np.cumsum(np.random.default_rng(7).normal(0.2, 1.0, 120))
+        cases = {
+            "airpassengers": (air_passengers["AirPassengers"].values, 12, 12),
+            "white_noise": (white, 1, 20),
+            "drift": (drift, 1, 12),
+        }
+        digests = {}
+        for name, (y, m, h) in cases.items():
+            fit = arima_fit(y, m)
+            mean, quantiles = forecast_arima(fit, h, DEFAULT_LEVELS)
+            labels = "|".join(label for label, _ in fit.candidates).encode()
+            digests[name] = (
+                fit.order.label,
+                sha256_of(mean),
+                sha256_of(quantiles),
+                sha256_of(fit.residuals),
+                sha256_of(labels, [aicc for _, aicc in fit.candidates]),
+            )
+        assert digests == {
+            "airpassengers": (
+                "ARIMA(3,1,1)(1,1,0)[12]",
+                "2348f2fc406207ba1d51ab6f0816fa3df2b7fc686a467c989c05c9d283ac2b34",
+                "cf98b45aa995f3ef5b286aa090d7c4ba0995a3cc160e3365a42ef1c3c10190ee",
+                "0519692f9eacd2fd5d0057cb671a93b257a2f27ced4e3ce69a67699053375e03",
+                "029dfd21842c7ce5943e2f524fb250bc1276bfdb18b3da09034fa23462eb424a",
+            ),
+            "white_noise": (
+                "ARIMA(3,0,0)",
+                "b41a553755a251cbd205356d78315914b336da353313ca716ebfcee1e9c03cb6",
+                "acffafcd9b67559ab082a9a3779fdcd3ea51639077a423cc9d48d938840d1cb6",
+                "d15bdbddf5cbc00b58a28b3896dc067bf2b0a77abf4fb4fd37e40766e9b40329",
+                "8719dc24549c3aa290a985202be6869c2979302e97e56cfadd46ee44f455aacb",
+            ),
+            "drift": (
+                "ARIMA(0,1,0)",
+                "11b1451e20ebf3e7e020d172fabe647fd93b9dd75fa2c4ec23345cbaa373f684",
+                "935e0a5539c9170525c3ff7414ddcb93e235cbfecf579b2ca1c2a0645e700b2e",
+                "40f59be6e3f85a8337bf24334c806c97e57399e12d00ceb0c6ecb6005681acd8",
+                "ad51c89044b9e9aaa23dc113d622dc022c794fbad0321e3ab3a7c71e3a0e3dc3",
+            ),
+        }
+
+
+def lag_polynomials(max_degree=26):
+    """Lag polynomials as the ARIMA fit builds them: a leading 1.0."""
+    return st.lists(finite_values, max_size=max_degree).map(lambda c: np.array([1.0] + c))
+
+
+@st.composite
+def fir_cases(draw):
+    """(ar_poly, w) with w longer than, as long as, or shorter than ar_poly."""
+    ar_poly = draw(lag_polynomials())
+    n = len(ar_poly)
+    length = draw(st.one_of(st.integers(n + 1, n + 30), st.just(n), st.integers(1, n)))
+    return ar_poly, np.array(draw(st.lists(finite_values, min_size=length, max_size=length)))
+
+
+class TestARIMAKernel:
+    @settings(max_examples=300)
+    @given(lag_polynomials(), lag_polynomials())
+    def test_convolve_is_polymul(self, a, b):
+        # polymul trims leading zeros only, and a lag polynomial starts at 1.0
+        assert np.convolve(a, b).tobytes() == np.polymul(a, b).tobytes()
+
+    @settings(max_examples=300)
+    @given(fir_cases())
+    def test_fir_convolve_is_lfilter(self, case):
+        # scipy filters with a == [1.0] as convolve(b, x) cut to len(x).  The
+        # argument order matters: numpy swaps operands only when the second
+        # is longer, so convolve(w, ar_poly) sums in another order when
+        # len(w) == len(ar_poly).
+        ar_poly, w = case
+        expected = lfilter(ar_poly, [1.0], w)
+        assert np.convolve(ar_poly, w)[: len(w)].tobytes() == expected.tobytes()
+
 
 class TestCroston:
     def test_regular_intermittent_rate(self):
@@ -507,3 +605,55 @@ class TestSharedInvariants:
         frame = get_model("naive").forecast(panel, 2)
         assert frame.keys() == ["a", "b"]
         np.testing.assert_allclose(frame["b"].mean, [10.0, 10.0])
+
+
+class InfForecaster(Forecaster):
+    """Test double: an auto model whose fit overflows to +inf."""
+
+    name = "inf"
+    fallback_to_naive = True
+
+    def _forecast_series(self, y, m, h, levels):
+        return np.full(h, np.inf), None
+
+
+class TestFiniteOutput:
+    # Finite input, non-finite output: each reproducer is a 48-point
+    # monthly series parsed from CSV.
+    OVERFLOW = [1.0] * 47 + [1.7e308]
+    HUGE_NOISE = list(np.random.default_rng(0).normal(0.0, 1e200, 48))
+
+    def test_theta_overflow_is_a_failure(self):
+        with pytest.raises(NonFiniteForecastError):
+            get_model("theta").forecast(parse_monthly(self.OVERFLOW), 12)
+
+    @pytest.mark.parametrize("alias", ["naive", "ses", "theta", "historicaverage"])
+    def test_infinite_quantiles_are_a_failure(self, alias):
+        with pytest.raises(NonFiniteForecastError):
+            get_model(alias).forecast(parse_monthly(self.HUGE_NOISE), 12)
+
+    @pytest.mark.parametrize("alias", ["autoets", "autoarima"])
+    def test_non_finite_naive_fallback_is_a_failure(self, alias):
+        with pytest.raises(NonFiniteForecastError, match="naive fallback"):
+            get_model(alias).forecast(parse_monthly(self.HUGE_NOISE), 12)
+
+    def test_auto_model_falls_back_to_finite_naive(self):
+        panel = make_panel({"s": [3.0, 5.0, 4.0, 6.0]})
+        entry = one(InfForecaster().forecast(panel, 2, levels=None))
+        assert entry.fallback
+        np.testing.assert_array_equal(entry.mean, [6.0, 6.0])
+
+    @pytest.mark.parametrize("alias", list(MODEL_REGISTRY))
+    def test_finite_output_passes_through_unchanged(self, alias, air_passengers):
+        model = get_model(alias)
+        frame = model.forecast(air_passengers, 12)
+        mean, quantiles = model._forecast_series(
+            air_passengers["AirPassengers"].values, 12, 12, frame.levels
+        )
+        entry = one(frame)
+        assert not entry.fallback
+        assert entry.mean.tobytes() == mean.tobytes()
+        if quantiles is None:
+            assert entry.quantiles is None
+        else:
+            assert entry.quantiles.tobytes() == quantiles.tobytes()

@@ -4,6 +4,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcast.errors import (
     DuplicateTimestampError,
@@ -21,6 +23,7 @@ from agentcast.panel import (
     infer_frequency,
     parse_panel,
     _add_months,
+    _grid_point,
     _matches_grid,
     train_test_split,
 )
@@ -210,6 +213,32 @@ class TestParsePanel:
         again = parse_panel(io.StringIO(text))
         assert panel.equals(again)
         assert again.to_csv() == text
+
+
+@st.composite
+def csv_panels(draw):
+    """Gap-free panels of 1-4 series on one random grid, any finite values."""
+    freq = Frequency(draw(st.sampled_from(["Y", "Q", "M", "W", "D", "H"])))
+    keys = draw(st.lists(st.text("abz09_-.", min_size=1, max_size=5), min_size=1,
+                         max_size=4, unique=True))
+    series = {}
+    for key in keys:
+        anchor = draw(st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)))
+        if freq.unit in "YQMWD" and draw(st.booleans()):
+            anchor = anchor.replace(hour=0, minute=0, second=0, microsecond=0)
+        n = draw(st.integers(3, 30))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))
+        stamps = tuple(_grid_point(anchor, freq, i) for i in range(n))
+        series[key] = Series(stamps, np.array(values))
+    return SeriesPanel(series, freq)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200)
+    @given(csv_panels())
+    def test_to_csv_then_parse_is_equal(self, panel):
+        assert panel.equals(parse_panel(io.StringIO(panel.to_csv())))
 
 
 class TestSeriesPanelValues:
