@@ -42,7 +42,8 @@ try:
     remote_forecast(spec, panel, h=6)
     print(f"two 5xx responses absorbed in {stub.request_count - before} requests")
 
-    # Client errors (4xx) are never retried: the request itself is wrong.
+    # Client errors (4xx other than 429) are never retried: the request
+    # itself is wrong.
     stub.inject_failures([400])
     try:
         remote_forecast(spec, panel, h=6)

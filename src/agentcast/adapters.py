@@ -3,8 +3,9 @@
 A model is requested by a spec string: a bare registry alias, an
 "adapter:<url>" pointing at a forecast server, or
 "median_ensemble:a+b+c" combining other specs.  Remote models are
-called with one JSON request per series (POST {base}/forecast) and
-their responses validated against the requested horizon and levels.
+called with one JSON request per series (POST {base}/forecast) through
+the retrying client in ``_http``, and their responses must hold ``h``
+finite values for the mean and for each requested level.
 A threaded stub server mirroring any builtin model backs the tests.
 
 Wire format, request:  {"id", "freq", "ds", "y", "h", "levels"}
@@ -18,9 +19,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -28,13 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ProtocolError,
-    RequestError,
-    TransportError,
-    UnknownModelError,
-)
+from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, post_json
+from .errors import ConfigError, ProtocolError, UnknownModelError
 from .ensemble import EnsembleForecaster
 from .models import MODEL_REGISTRY, get_model
 from .panel import (
@@ -50,8 +44,6 @@ from .panel import (
 )
 
 DEFAULT_TIMEOUT_S = 30.0
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -118,68 +110,43 @@ def _level_key(level: float) -> str:
     return f"{level:g}"
 
 
-def _post_json(url: str, payload: dict, timeout: float) -> dict:
-    body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-    )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
-def _request_with_retries(spec: ModelSpec, payload: dict) -> dict:
-    """POST to the adapter; retry transport errors and 5xx, never 4xx."""
-    url = f"{spec.url}/forecast"
-    attempts = spec.max_retries + 1
-    last_error = None
-    for attempt in range(attempts):
-        try:
-            return _post_json(url, payload, spec.timeout)
-        except urllib.error.HTTPError as exc:
-            if 400 <= exc.code < 500:
-                detail = ""
-                try:
-                    detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-                except Exception:
-                    pass
-                raise RequestError(
-                    f"adapter rejected the request (HTTP {exc.code}): {detail}"
-                ) from None
-            last_error = f"HTTP {exc.code}"
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            last_error = str(exc)
-        if attempt < attempts - 1:
-            time.sleep(spec.backoff_ms * (2.0**attempt) / 1000.0)
-    raise TransportError(
-        f"adapter {spec.url} unreachable after {attempts} attempts: {last_error}"
-    )
+def _request_with_retries(spec: ModelSpec, payload: dict):
+    """POST one request to the adapter under the shared retry policy."""
+    return post_json(f"{spec.url}/forecast", payload, spec)
 
 
 def _validate_response(data: dict, h: int, levels, key: str):
+    """The mean and the h x L quantile matrix of one response.  Each must
+    be a list of ``h`` finite numbers, else a ProtocolError names the
+    series and the field."""
     if not isinstance(data, dict) or "mean" not in data:
         raise ProtocolError(f"adapter response for {key!r} lacks a 'mean' field")
-    mean = data["mean"]
-    if not isinstance(mean, list) or len(mean) != h:
-        got = len(mean) if isinstance(mean, list) else type(mean).__name__
-        raise ProtocolError(f"expected {h} mean values for {key!r}, got {got}")
-    quantiles = None
+    columns = [data["mean"]]
     if levels is not None:
         raw = data.get("quantiles")
         if not isinstance(raw, dict):
             raise ProtocolError(
                 f"expected quantiles for {len(levels)} levels for {key!r}, got none"
             )
-        columns = []
-        for level in levels:
-            col = raw.get(_level_key(level))
-            if not isinstance(col, list) or len(col) != h:
-                got = len(col) if isinstance(col, list) else "missing"
-                raise ProtocolError(
-                    f"expected {h} values at level {level:g} for {key!r}, got {got}"
-                )
-            columns.append(col)
-        quantiles = np.array(columns, dtype=float).T
-    return np.asarray(mean, dtype=float), quantiles
+        columns += [raw.get(_level_key(level)) for level in levels]
+
+    def field(i):
+        return "mean values" if i == 0 else f"values at level {levels[i - 1]:g}"
+
+    for i, column in enumerate(columns):
+        got = len(column) if isinstance(column, list) else type(column).__name__
+        if got != h:
+            raise ProtocolError(f"expected {h} {field(i)} for {key!r}, got {got}")
+    try:
+        values = np.array(columns, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim != 2:
+        raise ProtocolError(f"adapter response for {key!r} holds a value that is not a number")
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values).all(axis=1)))
+        raise ProtocolError(f"the {field(bad)} for {key!r} are not all finite")
+    return values[0], (values[1:].T if levels is not None else None)
 
 
 def remote_forecast(

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigError
-from .panel import DEFAULT_LEVELS, ForecastEntry, ForecastFrame, SeriesPanel
+from .panel import DEFAULT_LEVELS, ForecastEntry, ForecastFrame, SeriesPanel, _check_finite
 
 
 def pava_isotonic(values: Sequence[float], weights: Sequence[float] | None = None) -> np.ndarray:
@@ -125,7 +125,9 @@ class EnsembleForecaster:
     """Forecaster-shaped wrapper fitting every member then combining.
 
     Quantile rows are monotonized after the median; requesting levels
-    when no member supports them is a protocol error.
+    when no member supports them is a config error.  A non-finite
+    combined cell (finite members can overflow in the median's midpoint)
+    is a forecasting failure, as it is for a single model.
     """
 
     def __init__(self, members: Sequence):
@@ -153,4 +155,6 @@ class EnsembleForecaster:
         combined = median_ensemble(frames)
         if combined.levels is not None:
             combined = monotonize_quantiles(combined)
+        for key, entry in combined.items():
+            _check_finite(entry.mean, entry.quantiles, self.name, key)
         return combined

@@ -63,13 +63,13 @@ class ProtocolError(AgentcastError):
 
 
 class TransportError(AgentcastError):
-    """Network failure that survived the retry budget."""
+    """A transport fault, 429 or 5xx that outlasted the retry budget."""
 
     category = "transport"
 
 
 class RequestError(AgentcastError):
-    """The server rejected the request (HTTP 4xx)."""
+    """The server rejected the request: a status other than 2xx, 429 or 5xx."""
 
     category = "request"
 

@@ -2,22 +2,21 @@
 
 The wire format is the OpenAI-compatible one: POST {endpoint}/chat/completions
 with {"model", "temperature", "messages", "tools"?}, bearer credential from a
-configured environment variable.  A transport callable can be injected for
-testing; it receives (url, body_bytes, headers, timeout) and returns
-(status_code, response_bytes).
+configured environment variable.  Requests go through the same retrying
+client as ``adapter:`` models (``_http``), whose transport callable can be
+injected for testing; it receives (url, body_bytes, headers, timeout) and
+returns (status_code, response_bytes).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import ConfigError, ProtocolError, RequestError, TransportError
+from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, post_json
+from .errors import ConfigError, ProtocolError
 
 __all__ = [
     "PROVIDER_DEFAULTS",
@@ -36,8 +35,6 @@ CHAT_ROLES = ("system", "user", "assistant", "tool")
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_TIMEOUT_S = 60.0
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,10 @@ class ToolCall:
     arguments: dict
 
 
-def _http_transport(url, body, headers, timeout):
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+def _parse_completion(data, declared_tools):
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
-
-
-def _parse_completion(body: bytes, declared_tools):
-    try:
-        data = json.loads(body.decode("utf-8"))
         message = data["choices"][0]["message"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"malformed chat completion response: {exc}") from None
 
     calls = message.get("tool_calls") or ()
@@ -189,17 +176,15 @@ def llm_chat(
 ):
     """One chat-completions round trip; returns assistant text or a ToolCall.
 
-    429 and 5xx responses and transport failures are retried with
-    exponential backoff up to ``config.max_retries``; other 4xx responses
-    are never retried.
+    The request goes through the adapter's client (``_http.post_json``):
+    429, 5xx and transport faults are retried with exponential backoff up
+    to ``config.max_retries``; any other non-2xx status is never retried.
     """
     credential = os.environ.get(config.credential_var, "")
     if not credential:
         raise ConfigError(
             f"credential variable {config.credential_var} is not set in the environment"
         )
-    send = transport if transport is not None else _http_transport
-    url = f"{config.endpoint}/chat/completions"
     payload = {
         "model": config.model,
         "temperature": config.temperature,
@@ -207,28 +192,6 @@ def llm_chat(
     }
     if exchange.tools:
         payload["tools"] = [tool.to_payload() for tool in exchange.tools]
-    body = json.dumps(payload).encode("utf-8")
-    headers = {
-        "Content-Type": "application/json",
-        "Authorization": f"Bearer {credential}",
-    }
-
-    last_failure = "no request sent"
-    for attempt in range(config.max_retries + 1):
-        try:
-            status, response = send(url, body, headers, config.timeout)
-        except (OSError, TimeoutError) as exc:
-            last_failure = f"transport failure: {exc}"
-        else:
-            if status == 200:
-                return _parse_completion(response, exchange.tools)
-            detail = response.decode("utf-8", errors="replace")[:500]
-            if status == 429 or status >= 500:
-                last_failure = f"HTTP {status}: {detail}"
-            else:
-                raise RequestError(f"chat endpoint rejected the request ({status}): {detail}")
-        if attempt < config.max_retries:
-            time.sleep(config.backoff_ms * (2.0**attempt) / 1000.0)
-    raise TransportError(
-        f"chat request failed after {config.max_retries + 1} attempt(s); last: {last_failure}"
-    )
+    headers = {"Authorization": f"Bearer {credential}"}
+    data = post_json(f"{config.endpoint}/chat/completions", payload, config, headers, transport)
+    return _parse_completion(data, exchange.tools)

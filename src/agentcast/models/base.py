@@ -14,12 +14,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..errors import _FORECAST_FAILURES, InsufficientDataError, NonFiniteForecastError
+from ..errors import _FORECAST_FAILURES, InsufficientDataError
 from ..panel import (
     DEFAULT_LEVELS,
     ForecastEntry,
     ForecastFrame,
     SeriesPanel,
+    _check_finite,
     future_grid,
     validate_levels,
 )
@@ -76,15 +77,6 @@ class Forecaster:
             timestamps = tuple(future_grid(s.timestamps[-1], panel.freq, h))
             entries[key] = ForecastEntry(timestamps, mean, quantiles, fallback)
         return ForecastFrame(self.name, entries, levels)
-
-
-def _check_finite(mean, quantiles, model: str, key: str) -> None:
-    """A non-finite mean or quantile is a forecasting failure, so auto
-    models fall back to naive and cross-validation fails the fold."""
-    if not np.isfinite(mean).all() or (
-        quantiles is not None and not np.isfinite(quantiles).all()
-    ):
-        raise NonFiniteForecastError(f"{model} gave a non-finite forecast for series {key!r}")
 
 
 def _naive_series(

@@ -93,11 +93,8 @@ class SES(Forecaster):
 
     name = "ses"
 
-    def __init__(self, alpha: float | None = None):
-        self.alpha = alpha
-
     def _forecast_series(self, y, m, h, levels):
-        state, _ = ses_fit(y, self.alpha)
+        state, _ = ses_fit(y)
         mean = np.full(h, state.level)
         if levels is None:
             return mean, None

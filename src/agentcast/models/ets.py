@@ -95,29 +95,24 @@ class ETSFit:
             mean = mean + self.final_seasonal[(self.n_obs + np.arange(h)) % m]
         return mean
 
-    def simulate_quantiles(
-        self,
-        h: int,
-        levels: tuple[float, ...],
-        n_paths: int = N_SIM_PATHS,
-        seed: int = SIM_SEED,
-    ) -> np.ndarray:
-        """Empirical per-step quantiles of seeded Gaussian sample paths."""
+    def simulate_quantiles(self, h: int, levels: tuple[float, ...]) -> np.ndarray:
+        """Empirical per-step quantiles of N_SIM_PATHS Gaussian sample
+        paths drawn from SIM_SEED."""
         p = self.params
         m = len(self.final_seasonal)
-        rng = np.random.default_rng(seed)
-        level = np.full(n_paths, self.final_level)
-        slope = np.full(n_paths, self.final_slope)
-        seasonal = np.tile(self.final_seasonal, (n_paths, 1))
+        rng = np.random.default_rng(SIM_SEED)
+        level = np.full(N_SIM_PATHS, self.final_level)
+        slope = np.full(N_SIM_PATHS, self.final_slope)
+        seasonal = np.tile(self.final_seasonal, (N_SIM_PATHS, 1))
         alpha = p.alpha
         beta = p.beta or 0.0
         gamma = p.gamma or 0.0
         phi = {"N": 0.0, "A": 1.0, "Ad": p.phi}[p.trend]
-        paths = np.empty((n_paths, h))
+        paths = np.empty((N_SIM_PATHS, h))
         for k in range(h):
             slot = (self.n_obs + k) % m
             point = level + phi * slope + seasonal[:, slot]
-            eps = rng.normal(0.0, p.sigma, n_paths)
+            eps = rng.normal(0.0, p.sigma, N_SIM_PATHS)
             paths[:, k] = point + eps
             level = level + phi * slope + alpha * eps
             slope = phi * slope + beta * eps

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateTimestampError,
     FrequencyError,
     InsufficientDataError,
+    NonFiniteForecastError,
     ParseError,
     SchemaError,
     SeriesTooShortError,
@@ -453,6 +454,15 @@ class ForecastEntry:
             object.__setattr__(self, "quantiles", q)
 
 
+def _check_finite(mean, quantiles, model: str, key: str) -> None:
+    """A non-finite mean or quantile is a forecasting failure, so auto
+    models fall back to naive and cross-validation fails the fold."""
+    if not np.isfinite(mean).all() or (
+        quantiles is not None and not np.isfinite(quantiles).all()
+    ):
+        raise NonFiniteForecastError(f"{model} gave a non-finite forecast for series {key!r}")
+
+
 class ForecastFrame:
     """Per-series horizon forecasts of a single model."""
 
@@ -479,10 +489,6 @@ class ForecastFrame:
         self.model = model
         self.levels = levels
         self._entries = {key: entries[key] for key in sorted(entries)}
-
-    @property
-    def has_quantiles(self) -> bool:
-        return self.levels is not None
 
     def keys(self) -> list[str]:
         return list(self._entries)

@@ -1,4 +1,6 @@
 import io
+import socketserver
+import threading
 
 import numpy as np
 import pytest
@@ -81,3 +83,38 @@ class TypeErrorForecaster(Forecaster):
 
     def _forecast_series(self, y, m, h, levels):
         raise TypeError("unsupported operand type(s)")
+
+
+# Headers promise 100 bytes and 11 follow before the connection closes, so
+# http.client raises IncompleteRead while reading the body.
+TRUNCATED_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"mean": [1'
+
+
+class RawReplyServer:
+    """Reads each HTTP request in full, then writes ``reply`` to the raw
+    socket as it is and closes, so a reply can be truncated or malformed."""
+
+    def __init__(self, reply: bytes):
+        self.requests = 0
+        owner = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                length = 0
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                self.rfile.read(length)
+                owner.requests += 1
+                self.wfile.write(reply)
+
+        self.server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5.0)

@@ -16,6 +16,7 @@ from agentcast.adapters import (
     serve_stub,
 )
 from agentcast.ensemble import EnsembleForecaster
+from agentcast.evaluation import cross_validate
 from agentcast.errors import (
     ConfigError,
     ProtocolError,
@@ -25,7 +26,7 @@ from agentcast.errors import (
 )
 from agentcast.models import Forecaster, available_models, get_model
 
-from conftest import make_panel
+from conftest import TRUNCATED_REPLY, RawReplyServer, make_panel
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +254,94 @@ class TestProtocolValidation:
     def test_unknown_stub_alias_rejected(self):
         with pytest.raises(UnknownModelError):
             serve_stub(alias="nope")
+
+
+class TestSharedClientPolicy:
+    """The adapter runs the one retrying client (``agentcast._http``)."""
+
+    def test_429_is_retried(self, stub):
+        panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+        spec = adapter_spec(stub.url, max_retries=2, backoff_ms=1.0)
+        before = stub.request_count
+        stub.inject_failures([429])
+        frame = remote_forecast(spec, panel, 3)
+        assert frame["s"].mean.shape == (3,)
+        assert stub.request_count - before == 2
+
+    def test_request_error_carries_the_raw_body(self, stub):
+        panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+        stub.inject_failures([422])
+        with pytest.raises(RequestError, match=r'HTTP 422\): \{"error": "injected failure"\}'):
+            remote_forecast(adapter_spec(stub.url), panel, 3)
+
+    def test_truncated_reply_is_retried_then_a_transport_error(self):
+        server = RawReplyServer(TRUNCATED_REPLY)
+        try:
+            panel = make_panel({"s": [1.0, 2.0, 3.0]})
+            spec = adapter_spec(server.url, max_retries=1, backoff_ms=1.0)
+            with pytest.raises(TransportError, match="IncompleteRead") as err:
+                remote_forecast(spec, panel, 2)
+            assert server.url in str(err.value)
+            assert server.requests == 2
+        finally:
+            server.close()
+
+    def test_truncated_reply_fails_the_fold_not_the_run(self):
+        server = RawReplyServer(TRUNCATED_REPLY)
+        try:
+            panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+            remote = RemoteForecaster(adapter_spec(server.url, max_retries=1, backoff_ms=1.0))
+            cv = cross_validate(panel, [remote, "naive"], 3, n_windows=2)
+            assert cv.failed.shape[0] == 2
+            assert cv.failed[0].all() and not cv.failed[1].any()
+            assert server.requests == 4
+        finally:
+            server.close()
+
+    def test_non_json_body_is_a_protocol_error(self):
+        server = RawReplyServer(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!")
+        try:
+            panel = make_panel({"s": [1.0, 2.0, 3.0]})
+            spec = adapter_spec(server.url, max_retries=2, backoff_ms=1.0)
+            with pytest.raises(ProtocolError, match="not JSON"):
+                remote_forecast(spec, panel, 2, levels=None)
+            assert server.requests == 1
+        finally:
+            server.close()
+
+
+def finite_reply(mean=(1.0, 2.0), q90=(1.5, 2.5)):
+    quantiles = {"0.1": [0.5, 1.5], "0.9": list(q90)}
+    return {"model": "x", "mean": list(mean), "quantiles": quantiles, "elapsed_ms": 1}
+
+
+class TestResponseValues:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (finite_reply(mean=(1.0, float("nan"))), "mean values"),
+            (finite_reply(q90=(1.5, float("inf"))), "values at level 0.9"),
+        ],
+        ids=["nan-mean", "infinite-quantile"],
+    )
+    def test_rejected_at_the_boundary(self, payload, field):
+        server, url = canned_server(payload)
+        try:
+            panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+            spec = adapter_spec(url, backoff_ms=1.0)
+            with pytest.raises(ProtocolError, match=f"{field} for 's' are not all finite"):
+                remote_forecast(spec, panel, 2, levels=(0.1, 0.9))
+            cv = cross_validate(panel, [RemoteForecaster(spec)], 2, levels=(0.1, 0.9))
+            assert cv.failed.all()
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("mean", [["x", 2.0], [[1.0], [2.0]]], ids=["text", "nested"])
+    def test_non_numeric_value_is_a_protocol_error(self, mean):
+        server, url = canned_server(finite_reply(mean=mean))
+        try:
+            panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+            with pytest.raises(ProtocolError, match="not a number"):
+                remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
+        finally:
+            server.shutdown()

@@ -7,6 +7,8 @@ import pytest
 
 from agentcast.cli import build_parser, main
 
+from conftest import TRUNCATED_REPLY, RawReplyServer
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -227,3 +229,20 @@ class TestServeStubCommand:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+
+class TestAdapterTransportFault:
+    def test_truncated_reply_is_a_single_line_transport_error(self, capsys, air_csv):
+        server = RawReplyServer(TRUNCATED_REPLY)
+        try:
+            code, out, err = run_cli(
+                capsys, "forecast", "--input", air_csv, "--models", f"adapter:{server.url}",
+                "--h", "3",
+            )
+        finally:
+            server.close()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: transport: ")
+        assert err.count("\n") == 1
+        assert server.requests == 3

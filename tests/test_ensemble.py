@@ -11,11 +11,13 @@ from agentcast.ensemble import (
     monotonize_quantiles,
     pava_isotonic,
 )
-from agentcast.errors import AlignmentError, ConfigError
+from agentcast.adapters import resolve_model
+from agentcast.errors import AlignmentError, ConfigError, NonFiniteForecastError
+from agentcast.evaluation import cross_validate
 from agentcast.models import get_model
 from agentcast.panel import ForecastEntry, ForecastFrame
 
-from conftest import make_panel
+from conftest import make_panel, parse_monthly
 
 
 def pava_oracle(values, weights):
@@ -308,3 +310,21 @@ class TestEnsembleProperties:
         cells = np.stack([f["s"].quantiles for f in frames if f.levels is not None])
         assert (cells.min(axis=0) <= out.quantiles).all()
         assert (out.quantiles <= cells.max(axis=0)).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestEnsembleFiniteOutput:
+    """A median of two members is their midpoint, whose sum can overflow."""
+
+    SPEC = "median_ensemble:naive+seasonalnaive"
+
+    def test_overflowing_median_is_a_forecasting_failure(self):
+        panel = parse_monthly([1.5e308] * 36)
+        with pytest.raises(NonFiniteForecastError, match="for series 's'"):
+            resolve_model(self.SPEC).forecast(panel, 3)
+
+    def test_cross_validation_fails_the_fold(self):
+        panel = parse_monthly([1.5e308] * 36)
+        cv = cross_validate(panel, [self.SPEC], 3)
+        assert cv.failed.all()
+        assert np.isnan(cv.yhat).all()

@@ -1,9 +1,12 @@
 import calendar
 import hashlib
+import re
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agentcast.adapters import resolve_model, serve_stub
 from agentcast.errors import ConfigError, SeriesTooShortError
@@ -129,6 +132,32 @@ class TestRollingCutoffs:
                 assert c == n - h - (w - 1 - i) * step
             checked += 1
         assert checked > 300
+
+
+class TestCutoffProperty:
+    @given(
+        n=st.integers(1, 300),
+        h=st.integers(1, 40),
+        n_windows=st.integers(1, 8),
+        step=st.none() | st.integers(1, 40),
+    )
+    def test_plan_or_exact_feasible_count(self, n, h, n_windows, step):
+        stride = h if step is None else step
+        if n - h - (n_windows - 1) * stride >= 1:
+            cutoffs = rolling_cutoffs(n, h, n_windows, step).cutoffs
+            assert len(cutoffs) == n_windows
+            assert cutoffs[0] >= 1 and cutoffs[-1] == n - h
+            # a positive stride between neighbours makes them ascending
+            assert all(b - a == stride for a, b in zip(cutoffs, cutoffs[1:]))
+            return
+        with pytest.raises(SeriesTooShortError) as err:
+            rolling_cutoffs(n, h, n_windows, step)
+        k = int(re.search(r"at most (\d+) fold\(s\)", str(err.value)).group(1))
+        assert k < n_windows
+        if k >= 1:
+            assert len(rolling_cutoffs(n, h, k, step).cutoffs) == k
+        with pytest.raises(SeriesTooShortError):
+            rolling_cutoffs(n, h, k + 1, step)
 
 
 class TestCrossValidate:

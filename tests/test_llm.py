@@ -12,6 +12,8 @@ from agentcast.llm import (
     llm_chat,
 )
 
+from conftest import TRUNCATED_REPLY, RawReplyServer
+
 
 def completion(text):
     return {"choices": [{"message": {"content": text}}]}
@@ -197,3 +199,22 @@ class TestLlmChat:
         transport = StubTransport([(200, {"choices": [{"message": {}}]})])
         with pytest.raises(ProtocolError):
             llm_chat(fast_config(), simple_exchange(), transport)
+
+
+class TestSharedClient:
+    """llm_chat runs the adapter's retrying client (``agentcast._http``)."""
+
+    def test_any_2xx_is_accepted(self):
+        transport = StubTransport([(201, completion("created"))])
+        assert llm_chat(fast_config(), simple_exchange(), transport) == "created"
+
+    def test_truncated_reply_is_retried_then_a_transport_error(self):
+        server = RawReplyServer(TRUNCATED_REPLY)
+        try:
+            config = fast_config(endpoint=server.url, max_retries=2)
+            with pytest.raises(TransportError, match="IncompleteRead") as err:
+                llm_chat(config, simple_exchange())
+            assert f"{server.url}/chat/completions" in str(err.value)
+            assert server.requests == 3
+        finally:
+            server.close()
