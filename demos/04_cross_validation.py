@@ -24,7 +24,7 @@ cv = cross_validate(
     h=12,
     n_windows=3,
 )
-print(f"cv rows: {len(cv.rows)} "
+print(f"cv forecasts: {len(cv)} "
       f"({len(cv.model_names)} models x 3 folds x 12 steps)")
 
 # MASE scales the error by the in-sample seasonal-naive error, so 1.0

@@ -1,10 +1,13 @@
-"""Model resolution and the remote-forecaster wire protocol (v1).
+"""Model resolution, the adapter and ensemble forecasters, and the
+remote-forecaster wire protocol (v1).
 
 A model is requested by a spec string: a bare registry alias, an
 "adapter:<url>" pointing at a forecast server, or
-"median_ensemble:a+b+c" combining other specs.  Remote models are
-called with one JSON request per series (POST {base}/forecast) through
-the retrying client in ``_http``, and their responses must hold ``h``
+"median_ensemble:a+b+c" combining other specs.  ``RemoteForecaster`` and
+``EnsembleForecaster`` override only the per-series step of
+``Forecaster``, so its one panel loop and every CV fold drive all kinds
+alike.  The remote step is one JSON request (POST {base}/forecast)
+through the retrying client in ``_http``, whose response must hold ``h``
 finite values for the mean and for each requested level.
 A threaded stub server mirroring any builtin model backs the tests.
 
@@ -29,17 +32,16 @@ import numpy as np
 
 from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, post_json
 from .errors import ConfigError, ProtocolError, UnknownModelError
-from .ensemble import EnsembleForecaster
-from .models import MODEL_REGISTRY, get_model
+from .ensemble import _median_values, _monotone_rows
+from .models import MODEL_REGISTRY, Forecaster, get_model
 from .panel import (
     DEFAULT_LEVELS,
-    ForecastEntry,
     ForecastFrame,
     Frequency,
     Series,
     SeriesPanel,
+    _check_finite,
     format_timestamp,
-    future_grid,
     parse_timestamp,
 )
 
@@ -95,6 +97,8 @@ def resolve_model(spec: ModelSpec | str, **adapter_overrides):
     """Turn a spec (or spec string) into a ready forecaster object."""
     if isinstance(spec, str):
         spec = parse_model_alias(spec, **adapter_overrides)
+    elif not isinstance(spec, ModelSpec):
+        raise ConfigError(f"a model is given by a spec string, not a {type(spec).__name__}")
     if spec.kind == "builtin":
         return get_model(spec.alias)
     if spec.kind == "adapter":
@@ -158,37 +162,57 @@ def remote_forecast(
     """Forecast every series in the panel through the adapter protocol."""
     if spec.kind != "adapter":
         raise ValueError(f"remote_forecast needs an adapter spec, got {spec.kind!r}")
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-    levels = tuple(levels) if levels is not None else None
-    entries = {}
-    for key, series in panel.items():
-        payload = {
-            "id": key,
-            "freq": panel.freq.unit,
-            "ds": [format_timestamp(ts) for ts in series.timestamps],
-            "y": [_round12(v) for v in series.values],
-            "h": h,
-            "levels": [float(lv) for lv in (levels or ())],
-        }
-        data = _request_with_retries(spec, payload)
-        mean, quantiles = _validate_response(data, h, levels, key)
-        timestamps = tuple(future_grid(series.timestamps[-1], panel.freq, h))
-        entries[key] = ForecastEntry(timestamps, mean, quantiles, False)
-    return ForecastFrame(spec.alias, entries, levels)
+    return RemoteForecaster(spec).forecast(panel, h, levels)
 
 
-class RemoteForecaster:
-    """Forecaster-shaped wrapper over remote_forecast."""
-
-    supports_quantiles = True
+class RemoteForecaster(Forecaster):
+    """A model behind an adapter URL: one request per series."""
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.name = spec.alias
 
-    def forecast(self, panel, h, levels=DEFAULT_LEVELS):
-        return remote_forecast(self.spec, panel, h, levels)
+    def _forecast_values(self, key, series, freq, h, levels):
+        payload = {
+            "id": key,
+            "freq": freq.unit,
+            "ds": [format_timestamp(ts) for ts in series.timestamps],
+            "y": [_round12(v) for v in series.values],
+            "h": h,
+            "levels": [float(lv) for lv in (levels or ())],
+        }
+        data = _request_with_retries(self.spec, payload)
+        mean, quantiles = _validate_response(data, h, levels, key)
+        return mean, quantiles, False
+
+
+class EnsembleForecaster(Forecaster):
+    """Median of the members' forecasts of each series.
+
+    Quantile rows are monotonized after the median; requesting levels
+    when no member supports them is a config error.  A non-finite
+    combined cell (finite members can overflow in the median's midpoint)
+    is a forecasting failure, as it is for a single model.
+    """
+
+    def __init__(self, members: Sequence[Forecaster]):
+        members = list(members)
+        if not members:
+            raise ValueError("ensemble needs at least one member")
+        self.members = members
+        self.name = f"median_ensemble[{'+'.join(m.name for m in members)}]"
+        self.supports_quantiles = any(m.supports_quantiles for m in members)
+
+    def _forecast_values(self, key, series, freq, h, levels):
+        if levels is not None and not self.supports_quantiles:
+            raise ConfigError("quantile levels requested but no ensemble member supports quantiles")
+        mean, quantiles, fallback = _median_values(
+            [m._forecast_values(key, series, freq, h, levels) for m in self.members]
+        )
+        if quantiles is not None:
+            quantiles = _monotone_rows(quantiles)
+        _check_finite(mean, quantiles, self.name, key)
+        return mean, quantiles, fallback
 
 
 class _StubState:

@@ -1,10 +1,12 @@
-"""Median combination of forecast frames and monotone quantile repair.
+"""Median combination of forecasts and monotone quantile repair.
 
 The ensemble takes the elementwise median of member forecasts (points
 and each quantile cell); members that cannot produce quantiles still
 vote on the point forecasts.  Because medians of individually monotone
 quantile rows need not stay monotone, rows are re-monotonized with
-isotonic regression (pool-adjacent-violators) after combining.
+isotonic regression (pool-adjacent-violators) after combining.  The
+array-level steps serve both the frame functions here and the per-series
+step of ``adapters.EnsembleForecaster``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
-from .panel import DEFAULT_LEVELS, ForecastEntry, ForecastFrame, SeriesPanel, _check_finite
+from .errors import AlignmentError
+from .panel import ForecastEntry, ForecastFrame
 
 
 def pava_isotonic(values: Sequence[float], weights: Sequence[float] | None = None) -> np.ndarray:
@@ -75,6 +77,28 @@ def _check_aligned(frames: Sequence[ForecastFrame]) -> None:
             )
 
 
+def _median_values(members):
+    """Elementwise median of (mean, quantiles, fallback) triples: the means
+    of every member, the quantile cells of the members that have them."""
+    means, quantiles, fallbacks = zip(*members)
+    with_q = [q for q in quantiles if q is not None]
+    combined = np.median(np.stack(with_q), axis=0) if with_q else None
+    return np.median(np.stack(means), axis=0), combined, any(fallbacks)
+
+
+def _monotone_rows(quantiles: np.ndarray) -> np.ndarray:
+    """A copy with each decreasing horizon row replaced by its isotonic fit.
+
+    PAVA pools only across a decreasing step and returns any other row
+    unchanged, bit for bit, so only rows with such a step are refitted.
+    """
+    fixed = quantiles.copy()
+    # The same comparison PAVA pools on; NaN compares false in both.
+    for i in np.flatnonzero((fixed[:, 1:] < fixed[:, :-1]).any(axis=1)):
+        fixed[i] = pava_isotonic(fixed[i])
+    return fixed
+
+
 def median_ensemble(frames: Sequence[ForecastFrame]) -> ForecastFrame:
     """Elementwise median of the member frames.
 
@@ -86,75 +110,24 @@ def median_ensemble(frames: Sequence[ForecastFrame]) -> ForecastFrame:
         raise ValueError("median ensemble needs at least one member frame")
     _check_aligned(frames)
     levels = next((f.levels for f in frames if f.levels is not None), None)
-    quantile_frames = [f for f in frames if f.levels is not None]
     name = f"median_ensemble[{'+'.join(f.model for f in frames)}]"
     entries = {}
     for key in frames[0].keys():
-        mean = np.median(np.stack([f[key].mean for f in frames]), axis=0)
-        quantiles = None
-        if levels is not None:
-            quantiles = np.median(
-                np.stack([f[key].quantiles for f in quantile_frames]), axis=0
-            )
-        fallback = any(f[key].fallback for f in frames)
-        entries[key] = ForecastEntry(
-            frames[0][key].timestamps, mean, quantiles, fallback
+        mean, quantiles, fallback = _median_values(
+            [(f[key].mean, f[key].quantiles, f[key].fallback) for f in frames]
         )
+        entries[key] = ForecastEntry(frames[0][key].timestamps, mean, quantiles, fallback)
     return ForecastFrame(name, entries, levels)
 
 
 def monotonize_quantiles(frame: ForecastFrame) -> ForecastFrame:
-    """Replace each horizon row of quantiles with its isotonic fit.
-
-    PAVA pools only across a decreasing step and returns any other row
-    unchanged, bit for bit, so only rows with such a step are refitted.
-    """
+    """Replace each horizon row of quantiles with its isotonic fit."""
     if frame.levels is None:
         raise ValueError("frame has no quantiles to monotonize")
-    entries = {}
-    for key, entry in frame.items():
-        fixed = entry.quantiles.copy()
-        # The same comparison PAVA pools on; NaN compares false in both.
-        for i in np.flatnonzero((fixed[:, 1:] < fixed[:, :-1]).any(axis=1)):
-            fixed[i] = pava_isotonic(fixed[i])
-        entries[key] = ForecastEntry(entry.timestamps, entry.mean, fixed, entry.fallback)
+    entries = {
+        key: ForecastEntry(
+            entry.timestamps, entry.mean, _monotone_rows(entry.quantiles), entry.fallback
+        )
+        for key, entry in frame.items()
+    }
     return ForecastFrame(frame.model, entries, frame.levels)
-
-
-class EnsembleForecaster:
-    """Forecaster-shaped wrapper fitting every member then combining.
-
-    Quantile rows are monotonized after the median; requesting levels
-    when no member supports them is a config error.  A non-finite
-    combined cell (finite members can overflow in the median's midpoint)
-    is a forecasting failure, as it is for a single model.
-    """
-
-    def __init__(self, members: Sequence):
-        members = list(members)
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        self.members = members
-        self.name = f"median_ensemble[{'+'.join(m.name for m in members)}]"
-
-    @property
-    def supports_quantiles(self) -> bool:
-        return any(m.supports_quantiles for m in self.members)
-
-    def forecast(
-        self,
-        panel: SeriesPanel,
-        h: int,
-        levels: Sequence[float] | None = DEFAULT_LEVELS,
-    ) -> ForecastFrame:
-        if levels is not None and not any(m.supports_quantiles for m in self.members):
-            raise ConfigError(
-                "quantile levels requested but no ensemble member supports quantiles"
-            )
-        frames = [m.forecast(panel, h, levels) for m in self.members]
-        combined = median_ensemble(frames)
-        if combined.levels is not None:
-            combined = monotonize_quantiles(combined)
-        for key, entry in combined.items():
-            _check_finite(entry.mean, entry.quantiles, self.name, key)
-        return combined

@@ -24,6 +24,7 @@ import numpy as np
 
 from .adapters import resolve_model
 from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
+from .models import Forecaster
 from .panel import (
     DEFAULT_LEVELS,
     Series,
@@ -109,10 +110,11 @@ class CrossValReport:
     Axes: model (``model_names``), series (``series``, panel order), fold
     and step.  ``cutoffs[s, f]`` is a fold's train length, ``y[s, f, k]``
     its actuals and ``yhat[m, s, f, k]`` the point forecasts.
-    ``quantiles[m]`` is ``[s, f, k, level]``, or None for a model whose
-    forecasts carry no quantiles.  ``failed[m, s, f]`` marks failed folds,
-    whose forecast cells hold NaN.  ``timestamps[s]`` is the panel's own
-    timestamp tuple.  ``rows`` is a derived row-per-step view.
+    ``quantiles[m]`` is ``[s, f, k, level]``, or None when no levels were
+    requested or the model supports no quantiles.  ``failed[m, s, f]``
+    marks failed folds, whose forecast cells hold NaN.  ``timestamps[s]``
+    is the panel's own timestamp tuple.  ``rows`` is a derived row-per-step
+    view.
     """
 
     model_names: tuple[str, ...]
@@ -191,22 +193,13 @@ class CrossValReport:
         return _emit_csv(lines, path_or_buffer)
 
 
-def _as_forecaster(spec):
-    if hasattr(spec, "forecast") and hasattr(spec, "name"):
-        return spec
-    return resolve_model(spec)
-
-
-def _evaluate_fold(forecaster, panel, key, cutoff, h, levels):
-    """The forecast entry of one (model, series, cutoff) fold, or None on a
-    forecasting failure."""
-    series = panel[key]
+def _evaluate_fold(forecaster, key, series, freq, cutoff, h, levels):
+    """(mean, quantiles, fallback) of one (model, series, cutoff) fold, or
+    None on a forecasting failure.  The training prefix of a validated
+    series needs no validation of its own (see ``SeriesPanel.head``)."""
+    train = Series(series.timestamps[:cutoff], series.values[:cutoff])
     try:
-        train = SeriesPanel._from_prefixes(
-            {key: Series(series.timestamps[:cutoff], series.values[:cutoff])},
-            panel.freq,
-        )
-        return forecaster.forecast(train, h, levels)[key]
+        return forecaster._forecast_values(key, train, freq, h, levels)
     except _FORECAST_FAILURES:
         return None
 
@@ -223,8 +216,9 @@ def cross_validate(
     """Evaluate each model on rolling-origin folds of every series.
 
     ``models`` may mix alias strings (resolved like CLI model specs) and
-    ready forecaster objects.  Each fold trains on the first ``cutoff``
-    observations only; the following ``h`` actuals are recorded verbatim.
+    ``Forecaster`` instances; anything else is a ConfigError.  Each fold
+    trains on the first ``cutoff`` observations only; the following ``h``
+    actuals are recorded verbatim.
     A forecasting failure of one (model, series, fold) is recorded as a
     failed fold and never aborts the run; a programming error propagates.
     """
@@ -237,7 +231,7 @@ def cross_validate(
     if levels is not None:
         levels = validate_levels(levels)
 
-    forecasters = [_as_forecaster(m) for m in models]
+    forecasters = [m if isinstance(m, Forecaster) else resolve_model(m) for m in models]
     names = [f.name for f in forecasters]
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
@@ -262,29 +256,29 @@ def cross_validate(
     yhat = np.full(shape + (h,), np.nan)
     failed = np.zeros(shape, dtype=bool)
     quantiles = [
-        None if levels is None else np.full(shape[1:] + (h, len(levels)), np.nan)
-        for _ in forecasters
+        np.full(shape[1:] + (h, len(levels)), np.nan)
+        if levels is not None and f.supports_quantiles else None
+        for f in forecasters
     ]
 
     folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
+    series = [panel[key] for key in keys]
 
     def evaluate(fold):
         mi, si, fi = fold
         return _evaluate_fold(
-            forecasters[mi], panel, keys[si], plans[si].cutoffs[fi], h, levels
+            forecasters[mi], keys[si], series[si], panel.freq, plans[si].cutoffs[fi], h, levels
         )
 
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        entries = map(evaluate, folds) if n_jobs == 1 else pool.map(evaluate, folds)
-        for (mi, si, fi), entry in zip(folds, entries):
-            if entry is None:
+        results = map(evaluate, folds) if n_jobs == 1 else pool.map(evaluate, folds)
+        for (mi, si, fi), result in zip(folds, results):
+            if result is None:
                 failed[mi, si, fi] = True
                 continue
-            yhat[mi, si, fi] = entry.mean
-            if entry.quantiles is None:
-                quantiles[mi] = None  # the model forecasts no quantiles
-            elif quantiles[mi] is not None:
-                quantiles[mi][si, fi] = entry.quantiles
+            yhat[mi, si, fi], q, _ = result
+            if quantiles[mi] is not None:
+                quantiles[mi][si, fi] = q
 
     return CrossValReport(
         tuple(names), keys, tuple(panel[key].timestamps for key in keys), cutoffs,

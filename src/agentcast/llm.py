@@ -145,10 +145,15 @@ def _parse_completion(data, declared_tools):
         message = data["choices"][0]["message"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"malformed chat completion response: {exc}") from None
+    if not isinstance(message, dict):
+        raise ProtocolError(f"chat completion message is a {type(message).__name__}, not an object")
 
     calls = message.get("tool_calls") or ()
     if calls:
-        function = calls[0].get("function", {})
+        call = calls[0] if isinstance(calls, list) else None
+        function = call.get("function") if isinstance(call, dict) else None
+        if not isinstance(function, dict):
+            raise ProtocolError(f"malformed tool call in chat completion: {calls!r:.200}")
         name = function.get("name")
         if name not in {tool.name for tool in declared_tools}:
             raise ProtocolError(f"tool call {name!r} does not match any declared tool")

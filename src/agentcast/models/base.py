@@ -1,10 +1,14 @@
-"""Forecaster contract shared by every model.
+"""Forecaster contract shared by every model kind.
 
-A forecaster is a pure function of (series, config): ``_forecast_series``
-maps one value array to ``h`` point forecasts plus an optional quantile
-matrix, and the panel driver attaches future timestamps and applies the
-naive-fallback policy for the auto models.  A non-finite mean or quantile
-counts as a forecasting failure.
+Each forecaster has one per-series step, ``_forecast_values``, giving the
+``h`` point forecasts, the h x L quantile matrix (None when quantile-free)
+and whether the naive fallback was used.  The builtin step runs
+``_forecast_series`` on the values, counts a non-finite mean or quantile
+as a forecasting failure and applies the auto models' naive fallback;
+adapter and ensemble forecasters override only the step.  ``forecast`` is
+the one panel loop: it validates ``h`` and the levels, runs the step per
+series and attaches the future timestamps.  Cross-validation folds call
+the step directly on a training prefix, with no frame and no timestamps.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..errors import _FORECAST_FAILURES, InsufficientDataError
+from ..errors import _FORECAST_FAILURES
 from ..panel import (
     DEFAULT_LEVELS,
     ForecastEntry,
     ForecastFrame,
+    Frequency,
+    Series,
     SeriesPanel,
     _check_finite,
     future_grid,
@@ -35,7 +41,7 @@ def gaussian_quantiles(
 
 
 class Forecaster:
-    """Base class: subclasses set ``name`` and implement ``_forecast_series``."""
+    """Base class: builtin models set ``name`` and implement ``_forecast_series``."""
 
     name = "forecaster"
     supports_quantiles = True
@@ -47,6 +53,23 @@ class Forecaster:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         raise NotImplementedError
 
+    def _forecast_values(
+        self, key: str, series: Series, freq: Frequency, h: int, levels: tuple[float, ...] | None
+    ) -> tuple[np.ndarray, np.ndarray | None, bool]:
+        """(mean, quantiles, fallback) of one series; ``h`` and ``levels`` are valid."""
+        if not self.supports_quantiles:
+            levels = None
+        try:
+            mean, quantiles = self._forecast_series(series.values, freq.season_length, h, levels)
+            _check_finite(mean, quantiles, self.name, key)
+            return mean, quantiles, False
+        except _FORECAST_FAILURES:
+            if not self.fallback_to_naive:
+                raise
+        mean, quantiles = _naive_series(series.values, h, levels)
+        _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
+        return mean, quantiles, True
+
     def forecast(
         self,
         panel: SeriesPanel,
@@ -57,26 +80,12 @@ class Forecaster:
             raise ValueError(f"horizon must be >= 1, got {h}")
         if levels is not None:
             levels = validate_levels(levels)
-        if not self.supports_quantiles:
-            levels = None
-        m = panel.season_length
         entries = {}
         for key, s in panel.items():
-            if len(s) < 1:
-                raise InsufficientDataError(f"series {key!r} is empty")
-            fallback = False
-            try:
-                mean, quantiles = self._forecast_series(s.values, m, h, levels)
-                _check_finite(mean, quantiles, self.name, key)
-            except _FORECAST_FAILURES:
-                if not self.fallback_to_naive:
-                    raise
-                mean, quantiles = _naive_series(s.values, h, levels)
-                _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
-                fallback = True
+            mean, quantiles, fallback = self._forecast_values(key, s, panel.freq, h, levels)
             timestamps = tuple(future_grid(s.timestamps[-1], panel.freq, h))
             entries[key] = ForecastEntry(timestamps, mean, quantiles, fallback)
-        return ForecastFrame(self.name, entries, levels)
+        return ForecastFrame(self.name, entries, levels if self.supports_quantiles else None)
 
 
 def _naive_series(

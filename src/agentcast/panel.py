@@ -201,25 +201,6 @@ class SeriesPanel:
         self._series = {key: series[key] for key in sorted(series)}
         self._freq = freq
 
-    @classmethod
-    def _from_prefixes(
-        cls, series: Mapping[str, Series], freq: Frequency | None
-    ) -> "SeriesPanel":
-        """Panel of non-empty prefixes of series a panel already validated.
-
-        Skips ``__init__``'s checks, which are redundant here: a prefix of a
-        finite, strictly increasing series on a regular grid is itself
-        finite, strictly increasing and on that grid.  This holds for
-        month-based grids with clamped days too.  The full series has days
-        min(A, month length) with A its largest day.  If the prefix's
-        largest day D is below A, every prefix day is already clamped to
-        its month's end, so min(D, month length) reproduces each of them.
-        """
-        panel = cls.__new__(cls)
-        panel._series = {key: series[key] for key in sorted(series)}
-        panel._freq = freq
-        return panel
-
     @property
     def freq(self) -> Frequency | None:
         return self._freq
@@ -244,16 +225,26 @@ class SeriesPanel:
         return iter(self._series.items())
 
     def head(self, counts: int | Mapping[str, int]) -> "SeriesPanel":
-        """Panel truncated to the first ``counts`` observations per series."""
-        out = {}
+        """Panel truncated to the first ``counts`` observations per series.
+
+        Skips ``__init__``'s checks, which are redundant here: a prefix of a
+        finite, strictly increasing series on a regular grid is itself
+        finite, strictly increasing and on that grid.  This holds for
+        month-based grids with clamped days too.  The full series has days
+        min(A, month length) with A its largest day.  If the prefix's
+        largest day D is below A, every prefix day is already clamped to
+        its month's end, so min(D, month length) reproduces each of them.
+        """
+        panel = SeriesPanel.__new__(SeriesPanel)
+        panel._series, panel._freq = {}, self._freq
         for key, s in self._series.items():
             k = counts if isinstance(counts, int) else counts[key]
             if not 1 <= k <= len(s):
                 raise SeriesTooShortError(
                     f"series {key!r}: cannot keep {k} of {len(s)} observations"
                 )
-            out[key] = Series(s.timestamps[:k], s.values[:k])
-        return SeriesPanel._from_prefixes(out, self._freq)
+            panel._series[key] = Series(s.timestamps[:k], s.values[:k])
+        return panel
 
     def equals(self, other: "SeriesPanel") -> bool:
         if self.keys() != other.keys():

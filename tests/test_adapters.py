@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from agentcast.adapters import (
+    EnsembleForecaster,
     ModelSpec,
     RemoteForecaster,
     _request_with_retries,
@@ -15,7 +16,6 @@ from agentcast.adapters import (
     resolve_model,
     serve_stub,
 )
-from agentcast.ensemble import EnsembleForecaster
 from agentcast.evaluation import cross_validate
 from agentcast.errors import (
     ConfigError,
@@ -250,6 +250,17 @@ class TestProtocolValidation:
                 remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("levels", [(), (0.9, 0.1), (0.0, 0.5), (0.5, 1.5)])
+    def test_invalid_levels_rejected_before_any_request(self, levels):
+        server = serve_stub(alias="naive")
+        try:
+            panel = make_panel({"s": [1.0, 2.0, 3.0]})
+            with pytest.raises(ValueError):
+                remote_forecast(adapter_spec(server.url), panel, 2, levels)
+            assert server.request_count == 0
+        finally:
+            server.close()
 
     def test_unknown_stub_alias_rejected(self):
         with pytest.raises(UnknownModelError):

@@ -360,21 +360,26 @@ class TestRunAgent:
         assert [c.alias for c in result.candidates] == ["theta"]
 
     def test_malformed_tool_call_falls_back_to_rules(self, monkeypatch):
-        replies = [
-            (200, tool_completion("propose_models", "][ not json")),
-            (200, completion("explanation")),
-            (200, completion("answer")),
+        malformed = [
+            tool_completion("propose_models", "][ not json"),
+            {"choices": [{"message": {"tool_calls": ["propose_models"]}}]},
         ]
-        config, transport = llm_setup(monkeypatch, replies)
-        result = run_agent(
-            linear_panel(),
-            query="total next 4 months",
-            config=AgentConfig(mode="llm"),
-            llm_config=config,
-            transport=transport,
-        )
-        assert "[rule table]" in result.trace[1]
-        assert result.selected in set(available_models())
+        for reply in malformed:
+            replies = [
+                (200, reply),
+                (200, completion("explanation")),
+                (200, completion("answer")),
+            ]
+            config, transport = llm_setup(monkeypatch, replies)
+            result = run_agent(
+                linear_panel(),
+                query="total next 4 months",
+                config=AgentConfig(mode="llm"),
+                llm_config=config,
+                transport=transport,
+            )
+            assert "[rule table]" in result.trace[1]
+            assert result.selected in set(available_models())
 
     def test_query_horizon_out_of_range_uses_the_default(self, monkeypatch):
         replies = [

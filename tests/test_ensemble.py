@@ -1,17 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcast.ensemble import (
-    EnsembleForecaster,
-    median_ensemble,
-    monotonize_quantiles,
-    pava_isotonic,
-)
-from agentcast.adapters import resolve_model
+from agentcast.ensemble import median_ensemble, monotonize_quantiles, pava_isotonic
+from agentcast.adapters import EnsembleForecaster, resolve_model
 from agentcast.errors import AlignmentError, ConfigError, NonFiniteForecastError
 from agentcast.evaluation import cross_validate
 from agentcast.models import get_model
@@ -236,6 +235,20 @@ class TestMonotonizeMatchesRowwisePava:
         expected = np.vstack([pava_isotonic(row) for row in q])
         assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(frame["s"].quantiles, q)  # input untouched
+
+
+def test_import_leaves_the_models_package_unloaded():
+    # Importing the models package from here shifted scipy's import order
+    # and made a cold `import agentcast.cli` measurably slower.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, agentcast.ensemble; print('agentcast.models' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestEnsembleForecaster:

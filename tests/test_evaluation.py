@@ -21,22 +21,13 @@ from agentcast.evaluation import (
     pinball,
     rolling_cutoffs,
 )
-from agentcast.models import get_model
-from agentcast.panel import (
-    DEFAULT_LEVELS,
-    ForecastEntry,
-    ForecastFrame,
-    Frequency,
-    Series,
-    SeriesPanel,
-    _matches_grid,
-    future_grid,
-)
+from agentcast.models import Forecaster, get_model
+from agentcast.panel import DEFAULT_LEVELS, Frequency, Series, SeriesPanel, _matches_grid
 
 from conftest import TypeErrorForecaster, make_panel, parse_monthly
 
 
-class LinearOracle:
+class LinearOracle(Forecaster):
     """Test double that extrapolates an OLS line, optionally offset.
 
     On noiseless linear series the un-offset oracle is exact, which pins
@@ -46,20 +37,13 @@ class LinearOracle:
     def __init__(self, name="oracle", offset=0.0):
         self.name = name
         self.offset = offset
-        self.supports_quantiles = True
 
-    def forecast(self, panel, h, levels=DEFAULT_LEVELS):
-        entries = {}
-        for key, s in panel.items():
-            t = np.arange(len(s), dtype=float)
-            slope, intercept = np.polyfit(t, s.values, 1)
-            mean = intercept + slope * (len(s) + np.arange(h)) + self.offset
-            ts = tuple(future_grid(s.timestamps[-1], panel.freq, h))
-            q = None
-            if levels is not None:
-                q = np.repeat(mean[:, None], len(levels), axis=1)
-            entries[key] = ForecastEntry(ts, mean, q)
-        return ForecastFrame(self.name, entries, None if levels is None else tuple(levels))
+    def _forecast_series(self, y, m, h, levels):
+        t = np.arange(len(y), dtype=float)
+        slope, intercept = np.polyfit(t, y, 1)
+        mean = intercept + slope * (len(y) + np.arange(h)) + self.offset
+        q = None if levels is None else np.repeat(mean[:, None], len(levels), axis=1)
+        return mean, q
 
 
 def pinball_oracle(y, yhat, tau):
@@ -231,6 +215,11 @@ class TestCrossValidate:
             cross_validate(air_passengers, ["naive", "naive"], 12)
         assert "naive" in str(err.value)
 
+    @pytest.mark.parametrize("model", [None, 3, get_model("naive").forecast])
+    def test_non_forecaster_model_rejected(self, air_passengers, model):
+        with pytest.raises(ConfigError, match=type(model).__name__):
+            cross_validate(air_passengers, ["naive", model], 12)
+
     def test_too_short_series_names_the_series(self):
         panel = make_panel({"long": [1.0] * 40, "tiny": [1.0, 2.0, 3.0]})
         with pytest.raises(SeriesTooShortError) as err:
@@ -378,6 +367,23 @@ def month_end_series(start_year, n):
     return Series(tuple(stamps), 200.0 + 3.0 * t + 20.0 * np.sin(2 * np.pi * t / 12))
 
 
+class FailingAutoModel(Forecaster):
+    """Auto-model double whose fit fails: "raise" raises ValueError, "inf"
+    returns an infinite forecast.  Either way it falls back to naive."""
+
+    fallback_to_naive = True
+
+    def __init__(self, how):
+        self.name = f"failing_{how}"
+        self.how = how
+
+    def _forecast_series(self, y, m, h, levels):
+        if self.how == "raise":
+            raise ValueError("fit did not converge")
+        mean = np.full(h, np.inf)
+        return mean, None if levels is None else np.repeat(mean[:, None], len(levels), axis=1)
+
+
 class TestFoldPath:
     """Folds train on prefixes of the validated panel without re-validating them."""
 
@@ -398,12 +404,13 @@ class TestFoldPath:
         models = [
             "naive", "seasonalnaive", "theta", "croston",
             "median_ensemble:naive+ses+theta", f"adapter:{stub.url}", LinearOracle(),
+            FailingAutoModel("raise"), FailingAutoModel("inf"),
         ]
         h, n_windows, step = 6, 4, 5
         cv = cross_validate(panel, models, h, n_windows=n_windows, step=step)
         expected = []
         for model in models:
-            forecaster = model if isinstance(model, LinearOracle) else resolve_model(model)
+            forecaster = model if isinstance(model, Forecaster) else resolve_model(model)
             for key in panel.keys():
                 plan = rolling_cutoffs(len(panel[key]), h, n_windows, step)
                 for cutoff in plan.cutoffs:
@@ -415,6 +422,17 @@ class TestFoldPath:
         for got, want in zip(cv.rows, expected):
             assert got == want
             assert all(type(v) is float for v in (got.y, got.yhat, *(got.quantiles or ())))
+        for model in models[-2:]:
+            assert all(entry.fallback for _, entry in model.forecast(panel, h).items())
+
+        # No member forecasts quantiles, so default levels fail every fold.
+        ensemble = resolve_model("median_ensemble:croston+adida")
+        cv = cross_validate(panel, [ensemble], h, n_windows=n_windows, step=step)
+        assert cv.failed.all() and cv.quantiles == (None,)
+        for key in panel.keys():
+            for cutoff in rolling_cutoffs(len(panel[key]), h, n_windows, step).cutoffs:
+                with pytest.raises(ConfigError):
+                    validated_fold_rows(ensemble, panel, key, cutoff, h, DEFAULT_LEVELS)
 
     def test_month_end_prefixes_stay_on_the_grid(self):
         # Monthly from Jan 31, and yearly from Feb 28 2021 with the day-29

@@ -201,6 +201,17 @@ class TestLlmChat:
             llm_chat(fast_config(), simple_exchange(), transport)
 
 
+    @pytest.mark.parametrize(
+        "message",
+        ["hi", {"tool_calls": ["x"]}, {"tool_calls": [{"function": "f"}]}],
+        ids=["message-is-text", "tool-call-is-text", "function-is-text"],
+    )
+    def test_non_object_message_parts_rejected(self, message):
+        transport = StubTransport([(200, {"choices": [{"message": message}]})])
+        with pytest.raises(ProtocolError):
+            llm_chat(fast_config(), simple_exchange([PROPOSE_TOOL]), transport)
+
+
 class TestSharedClient:
     """llm_chat runs the adapter's retrying client (``agentcast._http``)."""
 
