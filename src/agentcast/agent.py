@@ -356,6 +356,17 @@ def _default_summary(frame: ForecastFrame) -> str:
     return text
 
 
+def _llm_text(llm_config, exchange, transport):
+    """The reply's text; None (use the deterministic text) if empty or malformed."""
+    try:
+        reply = llm_chat(llm_config, exchange, transport)
+    except ProtocolError:
+        return None
+    if isinstance(reply, str) and reply.strip():
+        return reply.strip()
+    return None
+
+
 def _llm_answer(query, frame, llm_config, transport):
     table = [frame.csv_header()] + frame.to_csv_rows()
     exchange = ChatExchange(
@@ -368,10 +379,7 @@ def _llm_answer(query, frame, llm_config, transport):
             ChatMessage("user", "Forecast table:\n" + "\n".join(table) + f"\n\nQuestion: {query}"),
         ),
     )
-    reply = llm_chat(llm_config, exchange, transport)
-    if isinstance(reply, str) and reply.strip():
-        return reply.strip()
-    return None
+    return _llm_text(llm_config, exchange, transport)
 
 
 def answer_query(
@@ -472,10 +480,7 @@ def _llm_explanation(profile, leaderboard, frame, h, llm_config, transport):
             ChatMessage("user", json.dumps(context, indent=2)),
         ),
     )
-    reply = llm_chat(llm_config, exchange, transport)
-    if isinstance(reply, str) and reply.strip():
-        return reply.strip()
-    return None
+    return _llm_text(llm_config, exchange, transport)
 
 
 def run_agent(

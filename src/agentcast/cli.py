@@ -41,9 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(text: str):
+    """The ``--levels`` type: numbers or 'none'; validate_levels checks ranges."""
     if text.strip().lower() == "none":
         return None
-    return tuple(float(cell) for cell in text.split(",") if cell.strip())
+    try:
+        return tuple(float(cell) for cell in text.split(",") if cell.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
 
 
 def _load_panel(args):
@@ -73,11 +77,10 @@ def _cmd_features(args) -> int:
 
 def _cmd_forecast(args) -> int:
     panel = _load_panel(args)
-    levels = _parse_levels(args.levels)
     frames = []
     for spec in args.models.split(","):
         forecaster = resolve_model(spec.strip())
-        frames.append(forecaster.forecast(panel, args.h, levels))
+        frames.append(forecaster.forecast(panel, args.h, args.levels))
     _emit(frames_to_csv(frames), args.output)
     return 0
 
@@ -91,7 +94,7 @@ def _run_cv(args):
         args.h,
         n_windows=args.windows,
         step=args.step,
-        levels=_parse_levels(args.levels),
+        levels=args.levels,
         n_jobs=args.jobs,
     )
     return panel, cv
@@ -123,7 +126,7 @@ def _cmd_agent(args) -> int:
         budget=args.budget,
         n_windows=args.windows,
         step=args.step,
-        levels=_parse_levels(args.levels),
+        levels=args.levels,
         n_jobs=args.jobs,
     )
     result = run_agent(panel, query=args.query, h=args.h, config=config, llm_config=llm_config)
@@ -165,13 +168,17 @@ def _add_io_flags(parser):
     )
 
 
+def _add_levels_flag(parser):
+    parser.add_argument(
+        "--levels", type=_parse_levels, default=DEFAULT_LEVELS,
+        help="comma list of quantile levels, or 'none'",
+    )
+
+
 def _add_cv_flags(parser):
     parser.add_argument("--windows", type=int, default=1, help="number of rolling folds")
     parser.add_argument("--step", type=int, default=None, help="spacing between folds (default h)")
-    parser.add_argument(
-        "--levels", default=",".join(str(l) for l in DEFAULT_LEVELS),
-        help="comma list of quantile levels, or 'none'",
-    )
+    _add_levels_flag(parser)
     parser.add_argument("--jobs", type=int, default=1, help="worker threads for cross-validation")
 
 
@@ -190,10 +197,7 @@ def build_parser() -> _Parser:
         help=f"comma list of model specs; builtins: {', '.join(available_models())}",
     )
     p.add_argument("--h", type=int, required=True, help="forecast horizon")
-    p.add_argument(
-        "--levels", default=",".join(str(l) for l in DEFAULT_LEVELS),
-        help="comma list of quantile levels, or 'none'",
-    )
+    _add_levels_flag(p)
     p.set_defaults(func=_cmd_forecast)
 
     for name, func, help_text in (

@@ -9,6 +9,10 @@ non-invertible fits are skipped.  Each CSS objective call is one
 ``convolve`` (the AR half) plus one IIR ``lfilter`` (the MA half, none
 for a pure AR order).  Forecast variance accumulates psi-weights of the
 fitted (integrated) lag polynomials.
+
+scipy's optimizer and filter (most of a cold ``import agentcast``) are
+imported by each candidate fit and by the forecast, not here; the objective,
+run thousands of times per fit, is handed the filter instead.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from ..errors import InsufficientDataError
 from ..features import decompose, kpss_statistic, seasonal_strength
@@ -94,7 +96,7 @@ def _lag_polys(p, q, P, Q, m):
     return polys
 
 
-def _css_residuals(w, ar_poly, ma_poly, c):
+def _css_residuals(w, ar_poly, ma_poly, c, lfilter):
     # lfilter(ar_poly, [1.0], w) is scipy's convolve(b, x)[:len(x)]; numpy swaps
     # operands only when the second is longer, so convolve(w, ar_poly) would sum
     # in another order when len(w) == len(ar_poly).  An identity MA filter would
@@ -114,6 +116,8 @@ def _roots_outside(poly: np.ndarray) -> bool:
 
 def _fit_candidate(w, p, q, P, Q, m, use_intercept):
     """CSS fit of one order; returns None when invalid or not estimable."""
+    from scipy.optimize import minimize
+    from scipy.signal import lfilter
     n_coef = p + q + P + Q + (1 if use_intercept else 0)
     burn = p + m * P
     n_eff = len(w) - burn
@@ -124,7 +128,7 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
 
     def objective(params):
         c = params[-1] if use_intercept else 0.0
-        eps = _css_residuals(w, *polys(params), c)
+        eps = _css_residuals(w, *polys(params), c, lfilter)
         css = float(np.sum(eps[burn:] ** 2))
         return css if np.isfinite(css) else 1e300
 
@@ -142,7 +146,7 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
     ar_poly, ma_poly = polys(params)
     if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
         return None
-    eps = _css_residuals(w, ar_poly, ma_poly, c)
+    eps = _css_residuals(w, ar_poly, ma_poly, c, lfilter)
     css = float(np.sum(eps[burn:] ** 2))
     if not np.isfinite(css):
         return None
@@ -298,6 +302,7 @@ def forecast_arima(fit: ARIMAFit, h: int, levels=None):
 
     if levels is None:
         return fore, None
+    from scipy.signal import lfilter
     full_ar = np.convolve(ar_poly, _difference_poly(order.d, order.D, order.m))
     impulse = np.zeros(h)
     impulse[0] = 1.0

@@ -1,6 +1,8 @@
 import io
+import os
 import socketserver
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,16 @@ from agentcast.panel import Frequency, Series, SeriesPanel, parse_panel
 # deadline: the same examples on every run, whatever the machine's speed.
 settings.register_profile("agentcast", derandomize=True, deadline=None)
 settings.load_profile("agentcast")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, so a
+    child interpreter imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from agentcast.agent import (
     propose_candidates,
     run_agent,
 )
-from agentcast.errors import AgentError, ConfigError
+from agentcast.errors import AgentError, ConfigError, RequestError
 from agentcast.features import compute_features
 from agentcast.llm import LLMConfig
 from agentcast.models import available_models
@@ -380,6 +380,49 @@ class TestRunAgent:
             )
             assert "[rule table]" in result.trace[1]
             assert result.selected in set(available_models())
+
+    @pytest.mark.parametrize("site", [1, 2], ids=["explanation", "answer"])
+    def test_malformed_text_reply_falls_back(self, monkeypatch, site):
+        replies = [
+            (200, tool_completion("propose_models", {"candidates": ["theta", "naive"]})),
+            (200, completion("explanation")),
+            (200, completion("answer")),
+        ]
+        replies[site] = (200, {"choices": [{"message": "hi"}]})
+        config, transport = llm_setup(monkeypatch, replies)
+        query = "total next 4 months"
+        result = run_agent(
+            linear_panel(),
+            query=query,
+            config=AgentConfig(mode="llm"),
+            llm_config=config,
+            transport=transport,
+        )
+        assert len(transport.calls) == 3
+        if site == 1:
+            assert result.explanation.startswith("Analyzed 1 series")
+            assert result.user_query_response == "answer"
+        else:
+            assert result.explanation == "explanation"
+            assert result.user_query_response == answer_query(query, result.frame)
+
+    @pytest.mark.parametrize("site", [1, 2], ids=["explanation", "answer"])
+    def test_rejected_text_request_propagates(self, monkeypatch, site):
+        replies = [
+            (200, tool_completion("propose_models", {"candidates": ["theta", "naive"]})),
+            (200, completion("explanation")),
+            (200, completion("answer")),
+        ]
+        replies[site] = (400, {"error": "bad request"})
+        config, transport = llm_setup(monkeypatch, replies)
+        with pytest.raises(RequestError):
+            run_agent(
+                linear_panel(),
+                query="total next 4 months",
+                config=AgentConfig(mode="llm"),
+                llm_config=config,
+                transport=transport,
+            )
 
     def test_query_horizon_out_of_range_uses_the_default(self, monkeypatch):
         replies = [

@@ -7,7 +7,7 @@ import pytest
 
 from agentcast.cli import build_parser, main
 
-from conftest import TRUNCATED_REPLY, RawReplyServer
+from conftest import TRUNCATED_REPLY, RawReplyServer, src_env
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +204,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["forecast", "crossval", "evaluate", "agent"])
+    def test_non_numeric_levels_rejected_before_reading_input(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "never-read.csv")
+        argv = [command, "--input", missing, "--h", "3", "--levels", "0.1,abc"]
+        if command != "agent":
+            argv += ["--models", "naive"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: usage: argument --levels: not a comma list of numbers: '0.1,abc'"
+        )
+
     def test_invalid_mode_choice(self, capsys, air_csv):
         code, _, err = run_cli(
             capsys, "agent", "--input", air_csv, "--mode", "psychic"
@@ -216,6 +229,7 @@ class TestServeStubCommand:
     def test_serves_health_over_http(self):
         process = subprocess.Popen(
             [sys.executable, "-m", "agentcast.cli", "serve-stub", "--model", "naive"],
+            env=src_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

@@ -1,8 +1,6 @@
 import itertools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from agentcast.evaluation import cross_validate
 from agentcast.models import get_model
 from agentcast.panel import ForecastEntry, ForecastFrame
 
-from conftest import make_panel, parse_monthly
+from conftest import make_panel, parse_monthly, src_env
 
 
 def pava_oracle(values, weights):
@@ -237,18 +235,32 @@ class TestMonotonizeMatchesRowwisePava:
         np.testing.assert_array_equal(frame["s"].quantiles, q)  # input untouched
 
 
-def test_import_leaves_the_models_package_unloaded():
-    # Importing the models package from here shifted scipy's import order
-    # and made a cold `import agentcast.cli` measurably slower.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, agentcast.ensemble; print('agentcast.models' in sys.modules)"
+COLD_IMPORTS = {
+    # Importing the models package from ensemble.py shifted scipy's import
+    # order and made a cold `import agentcast.cli` measurably slower.
+    "ensemble": ("agentcast.ensemble", ["agentcast.models"]),
+    # scipy's optimizer and filter (the filter pulls in scipy.stats) are most
+    # of a cold import; only an ARIMA fit loads them.
+    "cli": ("agentcast.cli", ["scipy.optimize", "scipy.signal", "scipy.stats"]),
+}
+
+
+@pytest.mark.parametrize("module, unloaded", COLD_IMPORTS.values(), ids=COLD_IMPORTS)
+def test_cold_import_leaves_modules_unloaded(module, unloaded):
+    # After the import, one AutoARIMA forecast with quantiles must still work.
+    code = (
+        f"import sys, {module}\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        "from agentcast.datasets import load_air_passengers\n"
+        "from agentcast.models import get_model\n"
+        "entry = get_model('autoarima').forecast(load_air_passengers().head(36), 3)\n"
+        "print(entry['AirPassengers'].fallback, entry['AirPassengers'].quantiles.shape)\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "False (3, 9)"]
 
 
 class TestEnsembleForecaster:
