@@ -7,7 +7,8 @@ A 2xx reply returns its decoded JSON body; a body that is not JSON is a
 ``backoff_ms * 2**attempt`` ms before each retry, then raise
 ``TransportError``.  Any other status is a ``RequestError`` at once.
 A transport is a callable ``(url, body_bytes, headers, timeout)``
-returning ``(status_code, response_bytes)``.
+returning ``(status_code, response_bytes)``.  ``check_policy`` bounds
+the policy values when an adapter spec or an LLM config is built.
 """
 
 from __future__ import annotations
@@ -18,10 +19,20 @@ import time
 import urllib.error
 import urllib.request
 
-from .errors import ProtocolError, RequestError, TransportError
+from .errors import ConfigError, ProtocolError, RequestError, TransportError
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF_MS = 250.0
+
+
+def check_policy(policy):
+    """ConfigError unless timeout > 0, max_retries is an int >= 0 and backoff_ms >= 0."""
+    if not policy.timeout > 0:
+        raise ConfigError(f"timeout must be positive, got {policy.timeout}")
+    if not (isinstance(policy.max_retries, int) and policy.max_retries >= 0):
+        raise ConfigError(f"max_retries must be an integer >= 0, got {policy.max_retries!r}")
+    if not policy.backoff_ms >= 0:
+        raise ConfigError(f"backoff_ms must be >= 0, got {policy.backoff_ms}")
 
 
 def urllib_transport(url, body, headers, timeout):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, post_json
+from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, check_policy, post_json
 from .errors import ConfigError, ProtocolError, UnknownModelError
 from .ensemble import _median_values, _monotone_rows
 from .models import MODEL_REGISTRY, Forecaster, get_model
@@ -61,8 +61,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("builtin", "adapter", "ensemble"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        check_policy(self)
 
 
 def parse_model_alias(spec: str, **adapter_overrides) -> ModelSpec:
@@ -114,11 +113,6 @@ def _level_key(level: float) -> str:
     return f"{level:g}"
 
 
-def _request_with_retries(spec: ModelSpec, payload: dict):
-    """POST one request to the adapter under the shared retry policy."""
-    return post_json(f"{spec.url}/forecast", payload, spec)
-
-
 def _validate_response(data: dict, h: int, levels, key: str):
     """The mean and the h x L quantile matrix of one response.  Each must
     be a list of ``h`` finite numbers, else a ProtocolError names the
@@ -168,6 +162,8 @@ def remote_forecast(
 class RemoteForecaster(Forecaster):
     """A model behind an adapter URL: one request per series."""
 
+    waits_on_network = True
+
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.name = spec.alias
@@ -181,7 +177,7 @@ class RemoteForecaster(Forecaster):
             "h": h,
             "levels": [float(lv) for lv in (levels or ())],
         }
-        data = _request_with_retries(self.spec, payload)
+        data = post_json(f"{self.spec.url}/forecast", payload, self.spec)
         mean, quantiles = _validate_response(data, h, levels, key)
         return mean, quantiles, False
 
@@ -202,6 +198,7 @@ class EnsembleForecaster(Forecaster):
         self.members = members
         self.name = f"median_ensemble[{'+'.join(m.name for m in members)}]"
         self.supports_quantiles = any(m.supports_quantiles for m in members)
+        self.waits_on_network = any(m.waits_on_network for m in members)
 
     def _forecast_values(self, key, series, freq, h, levels):
         if levels is not None and not self.supports_quantiles:

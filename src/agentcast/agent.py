@@ -70,7 +70,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Pipeline knobs; ``h=None`` defers to the query or season length."""
+    """Pipeline knobs; ``h=None`` defers to the query or season length.
+    ``n_jobs`` bounds only the remote requests in flight during CV."""
 
     mode: str = "deterministic"
     budget: int = 5

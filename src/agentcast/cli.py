@@ -26,6 +26,7 @@ from .panel import (
     DEFAULT_VALUE_COLUMN,
     frames_to_csv,
     parse_panel,
+    validate_levels,
 )
 
 __all__ = ["main"]
@@ -41,13 +42,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(text: str):
-    """The ``--levels`` type: numbers or 'none'; validate_levels checks ranges."""
+    """The ``--levels`` type: 'none', or levels that pass validate_levels."""
     if text.strip().lower() == "none":
         return None
     try:
-        return tuple(float(cell) for cell in text.split(",") if cell.strip())
+        levels = tuple(float(cell) for cell in text.split(",") if cell.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+    try:
+        return validate_levels(levels)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_panel(args):
@@ -127,7 +132,6 @@ def _cmd_agent(args) -> int:
         n_windows=args.windows,
         step=args.step,
         levels=args.levels,
-        n_jobs=args.jobs,
     )
     result = run_agent(panel, query=args.query, h=args.h, config=config, llm_config=llm_config)
     frame_csv = frames_to_csv([result.frame])
@@ -179,7 +183,6 @@ def _add_cv_flags(parser):
     parser.add_argument("--windows", type=int, default=1, help="number of rolling folds")
     parser.add_argument("--step", type=int, default=None, help="spacing between folds (default h)")
     _add_levels_flag(parser)
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for cross-validation")
 
 
 def build_parser() -> _Parser:
@@ -209,6 +212,7 @@ def build_parser() -> _Parser:
         p.add_argument("--models", required=True, help="comma list of model specs")
         p.add_argument("--h", type=int, required=True, help="forecast horizon")
         _add_cv_flags(p)
+        p.add_argument("--jobs", type=int, default=1, help="remote requests in flight in CV")
         p.set_defaults(func=func)
 
     p = commands.add_parser("agent", help="run the full agent pipeline")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -221,6 +221,10 @@ def cross_validate(
     actuals are recorded verbatim.
     A forecasting failure of one (model, series, fold) is recorded as a
     failed fold and never aborts the run; a programming error propagates.
+    Only folds of a forecaster that ``waits_on_network`` run on a pool of
+    ``n_jobs`` threads, which bounds the remote requests in flight; every
+    other fold runs on the calling thread.  The report is the same at any
+    ``n_jobs``.
     """
     if len(panel) == 0:
         raise ConfigError("cannot cross-validate an empty panel")
@@ -262,6 +266,8 @@ def cross_validate(
     ]
 
     folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
+    remote = [fold for fold in folds if forecasters[fold[0]].waits_on_network]
+    local = [fold for fold in folds if not forecasters[fold[0]].waits_on_network]
     series = [panel[key] for key in keys]
 
     def evaluate(fold):
@@ -270,9 +276,11 @@ def cross_validate(
             forecasters[mi], keys[si], series[si], panel.freq, plans[si].cutoffs[fi], h, levels
         )
 
+    # Remote folds wait on the pool while local folds run on this thread.
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        results = map(evaluate, folds) if n_jobs == 1 else pool.map(evaluate, folds)
-        for (mi, si, fi), result in zip(folds, results):
+        replies = pool.map(evaluate, remote)
+        results = chain(zip(local, map(evaluate, local)), zip(remote, replies))
+        for (mi, si, fi), result in results:
             if result is None:
                 failed[mi, si, fi] = True
                 continue

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, post_json
+from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, check_policy, post_json
 from .errors import ConfigError, ProtocolError
 
 __all__ = [
@@ -65,8 +65,7 @@ class LLMConfig:
             raise ConfigError(f"model spec {self.spec!r} has an empty provider or model")
         if not 0.0 <= self.temperature <= 2.0:
             raise ConfigError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_policy(self)
         defaults = PROVIDER_DEFAULTS.get(provider)
         endpoint = self.endpoint
         credential = self.credential_var

@@ -47,6 +47,9 @@ class Forecaster:
     supports_quantiles = True
     # auto models degrade to naive on failure instead of aborting a batch
     fallback_to_naive = False
+    # CV overlaps only folds that wait on a remote reply: a local fit holds
+    # the GIL, so running it on a worker thread adds switching and no speed
+    waits_on_network = False
 
     def _forecast_series(
         self, y: np.ndarray, m: int, h: int, levels: tuple[float, ...] | None

@@ -6,11 +6,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from agentcast._http import post_json
 from agentcast.adapters import (
     EnsembleForecaster,
     ModelSpec,
     RemoteForecaster,
-    _request_with_retries,
     parse_model_alias,
     remote_forecast,
     resolve_model,
@@ -97,6 +97,19 @@ class TestParseModelAlias:
         with pytest.raises(ConfigError):
             parse_model_alias("median_ensemble:naive+median_ensemble:theta+ses")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", 0), ("timeout", -1.0), ("max_retries", -1), ("max_retries", 1.5),
+            ("backoff_ms", -5.0),
+        ],
+    )
+    def test_bad_retry_policy_is_a_config_error(self, stub, field, value):
+        before = stub.request_count
+        with pytest.raises(ConfigError, match=field):
+            resolve_model(f"adapter:{stub.url}", **{field: value})
+        assert stub.request_count == before
+
     def test_resolve_builds_the_right_objects(self, stub):
         assert isinstance(resolve_model("naive"), Forecaster)
         assert isinstance(resolve_model(f"adapter:{stub.url}"), RemoteForecaster)
@@ -134,7 +147,7 @@ class TestStubServer:
         spec = adapter_spec(stub.url, max_retries=2, backoff_ms=1.0)
         before = stub.request_count
         with pytest.raises(RequestError, match="non-finite value nan at position 5"):
-            _request_with_retries(spec, payload)
+            post_json(f"{spec.url}/forecast", payload, spec)
         assert stub.request_count - before == 1
 
     def test_mirrors_the_builtin_model(self, stub):

@@ -101,15 +101,17 @@ class TestCrossvalCommand:
         _, par, _ = run_cli(capsys, *base, "--jobs", "4")
         assert seq == par
 
-    def test_jobs_defaults_to_one(self):
-        # The fold pool is GIL-bound on builtin models; one worker is fastest.
+    def test_jobs_defaults_to_one(self, capsys):
         parser = build_parser()
         for argv in (
             ["crossval", "--models", "naive", "--h", "12"],
             ["evaluate", "--models", "naive", "--h", "12"],
-            ["agent"],
         ):
             assert parser.parse_args([*argv, "--input", "data.csv"]).jobs == 1
+        # The agent shortlists builtin models only, whose folds never use the pool.
+        code, out, err = run_cli(capsys, "agent", "--input", "data.csv", "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: usage: unrecognized arguments: --jobs 2"
 
 
 class TestEvaluateCommand:
@@ -207,15 +209,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["forecast", "crossval", "evaluate", "agent"])
     def test_non_numeric_levels_rejected_before_reading_input(self, capsys, tmp_path, command):
         missing = str(tmp_path / "never-read.csv")
-        argv = [command, "--input", missing, "--h", "3", "--levels", "0.1,abc"]
-        if command != "agent":
-            argv += ["--models", "naive"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1] == (
-            "error: usage: argument --levels: not a comma list of numbers: '0.1,abc'"
-        )
+        for levels, detail in (
+            ("0.1,abc", "not a comma list of numbers: '0.1,abc'"),
+            ("0.5,0.2", "quantile levels must be strictly increasing, got (0.5, 0.2)"),
+            ("1.5", "quantile level 1.5 outside open interval (0, 1)"),
+            ("0", "quantile level 0.0 outside open interval (0, 1)"),
+            (",", "quantile levels must be non-empty"),
+        ):
+            argv = [command, "--input", missing, "--h", "3", "--levels", levels]
+            if command != "agent":
+                argv += ["--models", "naive"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines()[-1] == f"error: usage: argument --levels: {detail}"
 
     def test_invalid_mode_choice(self, capsys, air_csv):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 import calendar
 import hashlib
 import re
+import threading
 from datetime import datetime
 
 import numpy as np
@@ -25,6 +26,27 @@ from agentcast.models import Forecaster, get_model
 from agentcast.panel import DEFAULT_LEVELS, Frequency, Series, SeriesPanel, _matches_grid
 
 from conftest import TypeErrorForecaster, make_panel, parse_monthly
+
+
+class NetworkTypeErrorForecaster(TypeErrorForecaster):
+    waits_on_network = True
+
+
+class ThreadRecorder(Forecaster):
+    """Test double that records the thread each fold runs on."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.threads = []
+
+    def _forecast_series(self, y, m, h, levels):
+        self.threads.append(threading.get_ident())
+        return get_model("naive")._forecast_series(y, m, h, levels)
+
+
+class NetworkThreadRecorder(ThreadRecorder):
+    waits_on_network = True
 
 
 class LinearOracle(Forecaster):
@@ -188,8 +210,23 @@ class TestCrossValidate:
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_programming_error_propagates(self, n_jobs):
         panel = make_panel({"s": [float(v % 12 + 1) for v in range(40)]})
-        with pytest.raises(TypeError):
-            cross_validate(panel, [TypeErrorForecaster()], 6, n_windows=2, n_jobs=n_jobs)
+        for forecaster in (TypeErrorForecaster(), NetworkTypeErrorForecaster()):
+            with pytest.raises(TypeError):
+                cross_validate(panel, [forecaster], 6, n_windows=2, n_jobs=n_jobs)
+
+    def test_builtin_folds_run_on_the_calling_thread(self):
+        recorder = ThreadRecorder()
+        cross_validate(make_panel({"a": [1.0] * 30, "b": [2.0] * 30}), [recorder], 4,
+                       n_windows=3, n_jobs=4)
+        assert recorder.threads == [threading.get_ident()] * 6
+
+    def test_network_folds_run_on_pool_threads(self):
+        recorder = NetworkThreadRecorder()
+        cross_validate(make_panel({"a": [1.0] * 30, "b": [2.0] * 30}), [recorder], 4,
+                       n_windows=3, n_jobs=2)
+        assert len(recorder.threads) == 6
+        assert 1 <= len(set(recorder.threads)) <= 2
+        assert threading.get_ident() not in recorder.threads
 
     def test_forecasts_ignore_post_cutoff_data(self):
         rng = np.random.default_rng(77)
@@ -235,9 +272,15 @@ class TestCrossValidate:
         panel = make_panel(
             {f"s{i}": list(np.round(rng.normal(50, 5, 30), 3)) for i in range(3)}
         )
-        models = ["naive", "ses"]
-        seq = cross_validate(panel, models, 4, n_windows=2, step=4, n_jobs=1)
-        par = cross_validate(panel, models, 4, n_windows=2, step=4, n_jobs=4)
+        server = serve_stub(alias="ses")
+        try:
+            remote = f"adapter:{server.url}"
+            models = ["naive", "ses", remote, f"median_ensemble:naive+{remote}"]
+            seq = cross_validate(panel, models, 4, n_windows=2, step=4, n_jobs=1)
+            par = cross_validate(panel, models, 4, n_windows=2, step=4, n_jobs=4)
+        finally:
+            server.close()
+        assert not seq.failed.any()
         assert seq.to_csv() == par.to_csv()
 
     def test_quantile_free_model_rows(self, air_passengers):

@@ -171,6 +171,19 @@ class TestLlmChat:
             llm_chat(fast_config(max_retries=1), simple_exchange(), transport)
         assert len(transport.calls) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", 0), ("timeout", -1.0), ("max_retries", -1), ("max_retries", 1.5),
+            ("backoff_ms", -5.0),
+        ],
+    )
+    def test_bad_retry_policy_is_a_config_error(self, field, value):
+        transport = StubTransport([(200, completion("unused"))])
+        with pytest.raises(ConfigError, match=field):
+            llm_chat(fast_config(**{field: value}), simple_exchange(), transport)
+        assert transport.calls == []
+
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY")
         transport = StubTransport([(200, completion("never"))])
