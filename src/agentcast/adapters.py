@@ -201,11 +201,16 @@ class EnsembleForecaster(Forecaster):
         self.waits_on_network = any(m.waits_on_network for m in members)
 
     def _forecast_values(self, key, series, freq, h, levels):
+        return self._combine(
+            key, (m._forecast_values(key, series, freq, h, levels) for m in self.members), levels
+        )
+
+    def _combine(self, key, member_results, levels):
+        """(mean, quantiles, fallback) from the members' results in member order;
+        an iterator of their steps runs after the levels check, CV passes stored folds."""
         if levels is not None and not self.supports_quantiles:
             raise ConfigError("quantile levels requested but no ensemble member supports quantiles")
-        mean, quantiles, fallback = _median_values(
-            [m._forecast_values(key, series, freq, h, levels) for m in self.members]
-        )
+        mean, quantiles, fallback = _median_values(member_results)
         if quantiles is not None:
             quantiles = _monotone_rows(quantiles)
         _check_finite(mean, quantiles, self.name, key)

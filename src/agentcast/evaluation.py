@@ -22,7 +22,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .adapters import resolve_model
+from .adapters import EnsembleForecaster, resolve_model
 from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
 from .models import Forecaster
 from .panel import (
@@ -177,31 +177,21 @@ class CrossValReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
-        fmt = "{:.12g}".format
+        # One %-template per fold, with "%" in a key or model name escaped;
+        # "%.12g" % x is "{:.12g}".format(x) for every float, nan and inf too.
         stamp_text = {ts: format_timestamp(ts) for ts in set().union(*self.timestamps)}
-        nan_cells = ",nan" * (0 if self.levels is None else len(self.levels))
+        n_levels = 0 if self.levels is None else len(self.levels)
         lines = [self.csv_header()]
         for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
-            head = f"{key},{stamp_text[stamps[cutoff - 1]]},{model},"
-            flag = ",true" if failed else ",false"
-            for k in range(self.h):
-                q_cells = nan_cells if q is None else "," + ",".join(map(fmt, q[k]))
-                lines.append(
-                    f"{head}{k + 1},{stamp_text[stamps[cutoff + k]]},"
-                    f"{fmt(y[k])},{fmt(yhat[k])}{q_cells}{flag}"
-                )
+            head = f"{key},{stamp_text[stamps[cutoff - 1]]},{model},".replace("%", "%%")
+            q_cells = (",nan" if q is None else ",%.12g") * n_levels
+            template = f"{head}%d,%s,%.12g,%.12g{q_cells},{'true' if failed else 'false'}"
+            ds = [stamp_text[ts] for ts in stamps[cutoff : cutoff + self.h]]
+            lines.extend(
+                template % (k, t, a, f, *r)
+                for k, t, a, f, r in zip(range(1, self.h + 1), ds, y, yhat, q or [()] * self.h)
+            )
         return _emit_csv(lines, path_or_buffer)
-
-
-def _evaluate_fold(forecaster, key, series, freq, cutoff, h, levels):
-    """(mean, quantiles, fallback) of one (model, series, cutoff) fold, or
-    None on a forecasting failure.  The training prefix of a validated
-    series needs no validation of its own (see ``SeriesPanel.head``)."""
-    train = Series(series.timestamps[:cutoff], series.values[:cutoff])
-    try:
-        return forecaster._forecast_values(key, train, freq, h, levels)
-    except _FORECAST_FAILURES:
-        return None
 
 
 def cross_validate(
@@ -265,16 +255,40 @@ def cross_validate(
         for f in forecasters
     ]
 
+    # A local ensemble whose members are all listed (same class, same name)
+    # combines their stored fold results; its folds run after theirs.
+    ensemble = [isinstance(f, EnsembleForecaster) for f in forecasters]
+    listed = {(type(f), f.name): i for i, f in enumerate(forecasters) if not ensemble[i]}
+    reuse = {
+        mi: [listed[type(m), m.name] for m in f.members]
+        for mi, f in enumerate(forecasters)
+        if ensemble[mi] and not f.waits_on_network
+        and all((type(m), m.name) in listed for m in f.members)
+    }
     folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
     remote = [fold for fold in folds if forecasters[fold[0]].waits_on_network]
     local = [fold for fold in folds if not forecasters[fold[0]].waits_on_network]
+    local.sort(key=lambda fold: fold[0] in reuse)
     series = [panel[key] for key in keys]
 
     def evaluate(fold):
+        """One fold's (mean, quantiles, fallback), or None on a forecasting
+        failure; a validated series' prefix needs no validation (``head``)."""
         mi, si, fi = fold
-        return _evaluate_fold(
-            forecasters[mi], keys[si], series[si], panel.freq, plans[si].cutoffs[fi], h, levels
-        )
+        members = reuse.get(mi)
+        if members is not None and failed[members, si, fi].any():
+            return None  # as the member's own raise would
+        try:
+            if members is None:
+                s, cutoff = series[si], plans[si].cutoffs[fi]
+                train = Series(s.timestamps[:cutoff], s.values[:cutoff])
+                return forecasters[mi]._forecast_values(keys[si], train, panel.freq, h, levels)
+            return forecasters[mi]._combine(keys[si], [
+                (yhat[j, si, fi], None if quantiles[j] is None else quantiles[j][si, fi], False)
+                for j in members
+            ], levels)
+        except _FORECAST_FAILURES:
+            return None
 
     # Remote folds wait on the pool while local folds run on this thread.
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -433,59 +447,59 @@ class EvalReport:
         return _emit_csv(lines, path_or_buffer)
 
 
-def _score_model(cv, model_index, panel, season_length):
+def _mase_scales(cv, panel):
+    """[series, fold] MASE scales shared by every model: the training
+    window's mean absolute lag-m difference (lag 1 for a window of at most
+    m points), NaN where undefined: zero, not finite, or a 1-point window."""
+    m, scales = panel.season_length, np.full(cv.cutoffs.shape, np.nan)
+    for si, key in enumerate(cv.series):
+        values = panel[key].values
+        diffs = {lag: np.abs(values[lag:] - values[:-lag]) for lag in (1, m)}
+        for fi, cutoff in enumerate(cv.cutoffs[si].tolist()):
+            lag = m if cutoff > m else 1
+            if cutoff > lag:  # the window's differences prefix the series'
+                scale = float(np.mean(diffs[lag][: cutoff - lag]))
+                if scale != 0.0 and np.isfinite(scale):
+                    scales[si, fi] = scale
+    return scales
+
+
+def _score_model(cv, model_index, scales):
     ok = ~cv.failed[model_index]
     yhat, q, levels = cv.yhat[model_index], cv.quantiles[model_index], cv.levels
     has_quantiles = levels is not None and q is not None and bool(ok.any())
 
     # Over the series with a successful fold: per-fold MASE averaged within
     # the series, and the series' pooled CRPS over its mean absolute actual.
-    series_mase, normalized = [], []
-    mase_excluded = crps_excluded = 0
-    for si in np.flatnonzero(ok.any(axis=1)):
-        train_full = panel[cv.series[si]].values
-        fold_values = []
-        for fi in np.flatnonzero(ok[si]):
-            train = train_full[: cv.cutoffs[si, fi]]
-            lag = season_length if train.size > season_length else 1
-            value = mase(cv.y[si, fi], yhat[si, fi], train, lag)
-            if value is not None:
-                fold_values.append(value)
-        if fold_values:
-            series_mase.append(float(np.mean(fold_values)))
-        else:
-            mase_excluded += 1
-        if has_quantiles:
-            y = cv.y[si, ok[si]].reshape(-1)
-            normalizer = float(np.mean(np.abs(y)))
-            if normalizer == 0.0:
-                crps_excluded += 1
-            else:
-                series_q = q[si, ok[si]].reshape(-1, len(levels))
-                normalized.append(crps_approx(y, series_q, levels) / normalizer)
-    mase_value = float(np.mean(series_mase)) if series_mase else None
-    crps_value = float(np.mean(normalized)) if normalized else None
-
-    pinball_by_level: dict[float, float] = {}
-    coverage_value = None
+    rows = np.flatnonzero(ok.any(axis=1))
+    fold_mase, scored = np.abs(cv.y - yhat).mean(axis=-1) / scales, ok & ~np.isnan(scales)
+    series_mase = [float(np.mean(fold_mase[si, scored[si]])) for si in rows if scored[si].any()]
+    normalized, pinball_by_level, coverage_value = [], {}, None
     if has_quantiles:
-        all_y = cv.y[ok].reshape(-1)
-        all_q = q[ok].reshape(-1, len(levels))
-        for j, level in enumerate(levels):
-            pinball_by_level[level] = float(np.mean(pinball(all_y, all_q[:, j], level)))
+        taus = np.asarray(levels, dtype=float)
+        diff = cv.y[..., None] - q
+        losses = np.where(diff >= 0.0, taus * diff, (taus - 1.0) * diff)
+        crps, abs_y = (2.0 / len(levels)) * losses.sum(axis=-1), np.abs(cv.y)
+        for si in rows:
+            normalizer = float(np.mean(abs_y[si, ok[si]]))
+            if normalizer != 0.0:
+                normalized.append(float(np.mean(crps[si, ok[si]])) / normalizer)
+        by_level = np.moveaxis(losses[ok], -1, 0).reshape(len(levels), -1)
+        pinball_by_level = {level: float(np.mean(by_level[j])) for j, level in enumerate(levels)}
         if len(levels) >= 2:
-            coverage_value = coverage(all_y, all_q, levels, levels[0], levels[-1])
+            all_q = q[ok].reshape(-1, len(levels))
+            coverage_value = coverage(cv.y[ok].reshape(-1), all_q, levels, levels[0], levels[-1])
 
     return ModelScore(
         model=cv.model_names[model_index],
         rank=0,
-        mase=mase_value,
-        crps=crps_value,
+        mase=float(np.mean(series_mase)) if series_mase else None,
+        crps=float(np.mean(normalized)) if normalized else None,
         pinball_by_level=pinball_by_level,
         coverage=coverage_value,
         failures=int(cv.failed[model_index].sum()),
-        mase_excluded=mase_excluded,
-        crps_excluded=crps_excluded,
+        mase_excluded=len(rows) - len(series_mase),
+        crps_excluded=len(rows) - len(normalized) if has_quantiles else 0,
     )
 
 
@@ -498,10 +512,8 @@ def aggregate_leaderboard(cv: CrossValReport, panel: SeriesPanel) -> EvalReport:
     """
     if len(cv) == 0:
         raise ConfigError("cannot aggregate an empty cross-validation report")
-    scores = [
-        _score_model(cv, mi, panel, panel.season_length)
-        for mi in range(len(cv.model_names))
-    ]
+    scales = _mase_scales(cv, panel)
+    scores = [_score_model(cv, mi, scales) for mi in range(len(cv.model_names))]
     ranked_by = "crps" if all(s.crps is not None for s in scores) else "mase"
 
     def sort_key(score):

@@ -120,7 +120,10 @@ def future_grid(last_timestamp: datetime, freq: Frequency, h: int) -> list[datet
     return [_grid_point(last_timestamp, freq, k) for k in range(1, h + 1)]
 
 
-def _matches_grid(timestamps: Sequence[datetime], freq: Frequency) -> bool:
+def _matches_grid(timestamps: Sequence[datetime], freq: Frequency, grids=None) -> bool:
+    """Whether the timestamps lie on ``freq``'s grid from their first one.
+    ``grids`` keeps each month-based grid by (anchor, anchor day, step), so
+    series that share one compare against a prefix of a single tuple."""
     anchor = timestamps[0]
     if freq.unit not in _MONTH_STEPS:
         return all(
@@ -128,11 +131,15 @@ def _matches_grid(timestamps: Sequence[datetime], freq: Frequency) -> bool:
         )
     # Month-based grids: the anchor day may exceed some months' length, so
     # observed days are clamped.  Recover it as the largest day seen.
-    anchor_day = max(ts.day for ts in timestamps)
-    step = _MONTH_STEPS[freq.unit]
-    return all(
-        ts == _add_months(anchor, step * i, anchor_day) for i, ts in enumerate(timestamps)
-    )
+    anchor_day, step = max(ts.day for ts in timestamps), _MONTH_STEPS[freq.unit]
+    key, n, grids = (anchor, anchor_day, step), len(timestamps), {} if grids is None else grids
+    last = timestamps[-1]  # checked first, so no grid runs past the data's last year
+    if (last.year - anchor.year) * 12 + last.month - anchor.month != step * (n - 1):
+        return False
+    grid = grids.get(key, ())
+    if len(grid) < n:
+        grid = grids[key] = tuple(_add_months(anchor, step * i, anchor_day) for i in range(n))
+    return tuple(timestamps) == grid[:n]
 
 
 def infer_frequency(timestamps: Sequence[datetime]) -> Frequency:
@@ -177,6 +184,7 @@ class SeriesPanel:
     def __init__(self, series: Mapping[str, Series], freq: Frequency | None):
         if series and freq is None:
             raise FrequencyError("non-empty panel requires a frequency")
+        grids = {}
         for key, s in series.items():
             if not key:
                 raise SchemaError("series id must be non-empty")
@@ -193,7 +201,7 @@ class SeriesPanel:
                 raise FrequencyError(
                     f"series {key!r}: timestamps must be strictly increasing"
                 )
-            if freq is not None and not _matches_grid(s.timestamps, freq):
+            if freq is not None and not _matches_grid(s.timestamps, freq, grids):
                 raise FrequencyError(
                     f"series {key!r}: timestamps are not regular on the "
                     f"{freq.name} grid"

@@ -353,3 +353,10 @@ class TestEnsembleFiniteOutput:
         cv = cross_validate(panel, [self.SPEC], 3)
         assert cv.failed.all()
         assert np.isnan(cv.yhat).all()
+
+    def test_listed_members_do_not_hide_the_overflow(self):
+        # the members' own fold results are finite; their median is not
+        panel = parse_monthly([1.5e308] * 36)
+        cv = cross_validate(panel, [self.SPEC, "naive", "seasonalnaive"], 3)
+        assert cv.failed[0].all() and not cv.failed[1:].any()
+        assert np.isnan(cv.yhat[0]).all()

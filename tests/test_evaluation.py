@@ -1,4 +1,5 @@
 import calendar
+import dataclasses
 import hashlib
 import re
 import threading
@@ -6,10 +7,10 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentcast.adapters import resolve_model, serve_stub
+from agentcast.adapters import EnsembleForecaster, resolve_model, serve_stub
 from agentcast.errors import ConfigError, SeriesTooShortError
 from agentcast.evaluation import (
     CrossValReport,
@@ -23,7 +24,14 @@ from agentcast.evaluation import (
     rolling_cutoffs,
 )
 from agentcast.models import Forecaster, get_model
-from agentcast.panel import DEFAULT_LEVELS, Frequency, Series, SeriesPanel, _matches_grid
+from agentcast.panel import (
+    DEFAULT_LEVELS,
+    Frequency,
+    Series,
+    SeriesPanel,
+    _matches_grid,
+    format_timestamp,
+)
 
 from conftest import TypeErrorForecaster, make_panel, parse_monthly
 
@@ -381,6 +389,258 @@ class TestCrossValReportArrays:
         assert i == len(rows)
 
 
+def seeded_month_end_panel(seed=2024, n_series=40):
+    """Seeded monthly panel anchored on the 31st of several months, so most
+    days are clamped to the month's end: seasonal, trended, intermittent,
+    constant and short series (38 to 47 points, whose first 3-window fold
+    at h=12 trains on 2 to 11 points, below one season)."""
+    rng = np.random.default_rng(seed)
+    series = {}
+    for i in range(n_series):
+        kind = ("seasonal", "trended", "intermittent", "constant", "short")[i % 5]
+        n = int(rng.integers(38, 48)) if kind == "short" else int(rng.integers(60, 97))
+        start_month = (1, 3, 5, 7, 8, 10, 12)[i % 7]
+        stamps = []
+        for k in range(n):
+            year, month = 2010 + (start_month - 1 + k) // 12, (start_month - 1 + k) % 12 + 1
+            stamps.append(datetime(year, month, min(31, calendar.monthrange(year, month)[1])))
+        t = np.arange(n, dtype=float)
+        if kind == "seasonal":
+            y = 100.0 + 15.0 * np.sin(2 * np.pi * t / 12) + rng.normal(0.0, 3.0, n)
+        elif kind == "trended":
+            y = 20.0 + 1.7 * t + rng.normal(0.0, 4.0, n)
+        elif kind == "intermittent":
+            y = np.where(rng.random(n) < 0.3, rng.poisson(4.0, n) + 1.0, 0.0)
+        elif kind == "constant":
+            y = np.full(n, 7.25)
+        else:
+            y = rng.gamma(2.0, 10.0, n)
+        series[f"{kind}_{i:02d}"] = Series(tuple(stamps), y)
+    return SeriesPanel(series, Frequency("M"))
+
+
+# The panel_cv models, with one more ensemble listed before its members.
+# SHA-256 of cv.to_csv() and of the leaderboard's to_csv(), frozen before the
+# ensemble reused its members' fold results and before the shared MASE scales.
+PANEL_CV_BYTES = (
+    ["median_ensemble:seasonalnaive+croston", "naive", "seasonalnaive",
+     "historicaverage", "croston", "median_ensemble:naive+seasonalnaive+historicaverage"],
+    "9eca0c78c7393fc9665fb3e21a02b2bc256247ea130329f7e3aa368aece9cb49",
+    "43e371c4e97857bd330fcd34cfcef09f7050c36ebbeca03e7e01d931f8b85a81",
+)
+
+
+class TestPanelCvBytes:
+    def test_csv_bytes_unchanged(self):
+        models, cv_digest, board_digest = PANEL_CV_BYTES
+        panel = seeded_month_end_panel()
+        cv = cross_validate(panel, models, 12, n_windows=3)
+        board = aggregate_leaderboard(cv, panel)
+        assert hashlib.sha256(cv.to_csv().encode()).hexdigest() == cv_digest
+        assert hashlib.sha256(board.to_csv().encode()).hexdigest() == board_digest
+
+
+ENSEMBLE = "median_ensemble:naive+seasonalnaive+historicaverage"
+MEMBERS = ["naive", "seasonalnaive", "historicaverage"]
+
+
+class TestEnsembleReuse:
+    """A local ensemble whose members are all listed combines their fold
+    results instead of refitting them, with the same bytes."""
+
+    @pytest.mark.parametrize("models", [
+        MEMBERS + [ENSEMBLE], [ENSEMBLE] + MEMBERS, ["naive", ENSEMBLE, "croston"],
+    ])
+    def test_ensemble_slice_is_independent_of_the_list(self, models):
+        panel = seeded_month_end_panel()
+        alone = cross_validate(panel, [ENSEMBLE], 12, n_windows=3)
+        cv = cross_validate(panel, models, 12, n_windows=3)
+        mi = models.index(ENSEMBLE)
+        assert cv.yhat[mi].tobytes() == alone.yhat[0].tobytes()
+        assert cv.quantiles[mi].tobytes() == alone.quantiles[0].tobytes()
+        assert np.array_equal(cv.failed[mi], alone.failed[0])
+
+    def test_a_failed_member_fold_fails_the_ensemble_fold(self):
+        # seasonalnaive fails the folds of the short series that train on
+        # less than one season; its siblings fail none
+        panel = seeded_month_end_panel()
+        cv = cross_validate(panel, [ENSEMBLE] + MEMBERS, 12, n_windows=3)
+        assert cv.failed[2].any() and not cv.failed[[1, 3]].any()
+        assert np.array_equal(cv.failed[0], cv.failed[2])
+
+    def test_listed_members_are_not_refit(self):
+        panel = make_panel({"a": [float(v % 5) for v in range(30)], "b": [2.0] * 30})
+        inner, listed = ThreadRecorder(), ThreadRecorder()
+        ensemble = EnsembleForecaster([inner, get_model("naive")])
+        cross_validate(panel, [ensemble, listed, "naive"], 4, n_windows=3)
+        assert inner.threads == [] and len(listed.threads) == 6
+        cross_validate(panel, [ensemble, "naive"], 4, n_windows=3)
+        assert len(inner.threads) == 6  # not listed: the member runs its own step
+
+    def test_remote_member_sends_one_request_per_fold(self):
+        panel = make_panel({"a": [float(v % 5) for v in range(30)], "b": [2.0] * 30})
+        server = serve_stub(alias="seasonalnaive")
+        try:
+            remote = f"adapter:{server.url}"
+            models = ["naive", remote, f"median_ensemble:naive+{remote}"]
+            cv = cross_validate(panel, models, 4, n_windows=3, n_jobs=2)
+            assert server.request_count == 2 * 6
+        finally:
+            server.close()
+        assert not cv.failed.any()
+
+
+def reference_score(cv, panel, mi):
+    """The per-fold scoring loop that the shared MASE scales replaced: the
+    public ``mase`` and ``crps_approx`` per (series, fold), ``pinball`` and
+    ``coverage`` over the pooled folds; a 1-point window has no MASE."""
+    m = panel.season_length
+    ok = ~cv.failed[mi]
+    yhat, q, levels = cv.yhat[mi], cv.quantiles[mi], cv.levels
+    has_q = levels is not None and q is not None and bool(ok.any())
+    series_mase, normalized, mase_excluded, crps_excluded = [], [], 0, 0
+    for si in np.flatnonzero(ok.any(axis=1)):
+        full = panel[cv.series[si]].values
+        values = []
+        for fi in np.flatnonzero(ok[si]):
+            train = full[: cv.cutoffs[si, fi]]
+            lag = m if train.size > m else 1
+            if train.size > lag:
+                value = mase(cv.y[si, fi], yhat[si, fi], train, lag)
+                if value is not None:
+                    values.append(value)
+        if values:
+            series_mase.append(float(np.mean(values)))
+        else:
+            mase_excluded += 1
+        if has_q:
+            y = cv.y[si, ok[si]].reshape(-1)
+            normalizer = float(np.mean(np.abs(y)))
+            if normalizer == 0.0:
+                crps_excluded += 1
+            else:
+                series_q = q[si, ok[si]].reshape(-1, len(levels))
+                normalized.append(crps_approx(y, series_q, levels) / normalizer)
+    pinballs, cover = {}, None
+    if has_q:
+        all_y, all_q = cv.y[ok].reshape(-1), q[ok].reshape(-1, len(levels))
+        for j, level in enumerate(levels):
+            pinballs[level] = float(np.mean(pinball(all_y, all_q[:, j], level)))
+        if len(levels) >= 2:
+            cover = coverage(all_y, all_q, levels, levels[0], levels[-1])
+    return (
+        float(np.mean(series_mase)) if series_mase else None,
+        float(np.mean(normalized)) if normalized else None,
+        pinballs, cover, int(cv.failed[mi].sum()), mase_excluded, crps_excluded,
+    )
+
+
+@st.composite
+def scoring_cases(draw):
+    """A CV report on short quarterly or monthly series, so that cutoffs at
+    or below a season (the lag-1 scale) and 1-point windows occur; constant
+    prefixes give zero scales; more folds are failed at random."""
+    unit = draw(st.sampled_from(["Q", "M"]))
+    h, n_windows, step = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    levels = draw(st.sampled_from([DEFAULT_LEVELS, (0.25, 0.5, 0.75), (0.5,), None]))
+    cells = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+    values = {}
+    for i in range(draw(st.integers(1, 4))):
+        n = h + (n_windows - 1) * step + draw(st.integers(1, 20))
+        flat = draw(st.integers(0, n))
+        values[f"s{i}"] = [0.5] * flat + draw(st.lists(cells, min_size=n - flat, max_size=n - flat))
+    panel = make_panel(values, unit)
+    models = ["naive", "seasonalnaive", "historicaverage", "croston"]
+    cv = cross_validate(panel, models, h, n_windows=n_windows, step=step, levels=levels)
+    extra = draw(st.lists(st.booleans(), min_size=cv.failed.size, max_size=cv.failed.size))
+    failed = cv.failed | np.array(extra).reshape(cv.failed.shape)
+    quantiles = tuple(
+        None if q is None else np.where(failed[mi, ..., None, None], np.nan, q)
+        for mi, q in enumerate(cv.quantiles)
+    )
+    yhat = np.where(failed[..., None], np.nan, cv.yhat)
+    return panel, dataclasses.replace(cv, failed=failed, yhat=yhat, quantiles=quantiles)
+
+
+class TestSharedScaleScoring:
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_scores_equal_the_per_fold_loop_bit_for_bit(self, case):
+        panel, cv = case
+        board = aggregate_leaderboard(cv, panel)
+        for mi, model in enumerate(cv.model_names):
+            s = board[model]
+            got = (s.mase, s.crps, s.pinball_by_level, s.coverage,
+                   s.failures, s.mase_excluded, s.crps_excluded)
+            assert repr(got) == repr(reference_score(cv, panel, mi))
+
+
+SPECIAL_CELLS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-310,
+    2.2250738585072014e-308, 1e-300, 1e308, -1e308, 1.7976931348623157e308,
+    0.1, -2.5, 1.0 / 3.0, 123456789012.5, 1e16,
+]
+
+
+def reference_cv_lines(cv):
+    """The CV CSV written one "{:.12g}".format per cell plus a join."""
+    fmt = "{:.12g}".format
+    n_levels = 0 if cv.levels is None else len(cv.levels)
+    lines = [cv.csv_header()]
+    for mi, model in enumerate(cv.model_names):
+        for si, key in enumerate(cv.series):
+            stamps = cv.timestamps[si]
+            for fi, cutoff in enumerate(cv.cutoffs[si].tolist()):
+                for k in range(cv.h):
+                    q = cv.quantiles[mi]
+                    cells = [
+                        key, format_timestamp(stamps[cutoff - 1]), model, str(k + 1),
+                        format_timestamp(stamps[cutoff + k]),
+                        fmt(float(cv.y[si, fi, k])), fmt(float(cv.yhat[mi, si, fi, k])),
+                    ]
+                    cells += ["nan"] * n_levels if q is None else map(fmt, q[si, fi, k].tolist())
+                    cells.append("true" if cv.failed[mi, si, fi] else "false")
+                    lines.append(",".join(cells))
+    return lines
+
+
+def report_of_cells(cells, levels):
+    """Two models (with and without quantiles), two series (one key holds
+    "%" signs), two folds of three steps; one fold of each model failed."""
+    h, n = 3, 10
+    stamps = tuple(datetime(2020 + i // 12, i % 12 + 1, 1) for i in range(n))
+    pool = np.array(cells, dtype=float)
+
+    def take(offset, *shape):
+        return np.resize(np.roll(pool, offset), shape)
+
+    failed = np.zeros((2, 2, 2), dtype=bool)
+    failed[0, 1, 0] = failed[1, 0, 1] = True
+    yhat = np.where(failed[..., None], np.nan, take(1, 2, 2, 2, h))
+    q = None
+    if levels is not None:
+        q = np.where(failed[0, ..., None, None], np.nan, take(2, 2, 2, h, len(levels)))
+    return CrossValReport(
+        ("with%dq", "no_q"), ("k%s%%1", "plain"), (stamps, stamps),
+        np.array([[4, 7], [4, 7]]), take(0, 2, 2, h), yhat, (q, None), failed,
+        levels, h, 2, 3,
+    )
+
+
+class TestCrossValCsvWriter:
+    @pytest.mark.parametrize("levels", [(0.1, 0.5, 0.9), None])
+    def test_special_cells_match_per_cell_format(self, levels):
+        cv = report_of_cells(SPECIAL_CELLS, levels)
+        assert cv.to_csv().splitlines() == reference_cv_lines(cv)
+        assert cv.to_csv().count("\nk%s%%1,") == 12  # 2 models x 2 folds x 3 steps
+
+    @given(st.lists(st.floats(), min_size=1, max_size=60))
+    @example(SPECIAL_CELLS)
+    def test_any_float_matches_per_cell_format(self, cells):
+        cv = report_of_cells(cells, DEFAULT_LEVELS)
+        assert cv.to_csv().splitlines() == reference_cv_lines(cv)
+
+
 def validated_fold_rows(forecaster, panel, key, cutoff, h, levels):
     """Reference fold: a fully validated training panel, cells cast one by one."""
     series = panel[key]
@@ -700,6 +960,19 @@ class TestAggregateLeaderboard:
         score = report["seasonalnaive"]
         assert score.failures == 1
         assert score.mase is not None
+
+    def test_one_point_training_fold_has_no_mase(self):
+        # 13 points at h=12: the only fold trains on one observation, which
+        # has no lag-1 difference, so its MASE is undefined like a zero scale.
+        panel = make_panel({
+            "long": [float(v % 7) for v in range(40)],
+            "one": [float(v % 5) + 1.0 for v in range(13)],
+        })
+        cv = cross_validate(panel, ["naive"], 12)
+        assert cv.cutoffs.tolist() == [[28], [1]] and not cv.failed.any()
+        score = aggregate_leaderboard(cv, panel)["naive"]
+        assert score.mase_excluded == 1 and score.mase is not None
+        assert score.crps_excluded == 0 and score.crps is not None
 
     def test_ties_break_on_model_name(self):
         panel = make_panel({"s": [float(v) for v in range(1, 31)]})

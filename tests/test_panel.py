@@ -128,6 +128,60 @@ class TestMonthArithmetic:
                 assert not _matches_grid(moved, Frequency(unit))
 
 
+class TestSharedMonthGrids:
+    """A panel checks each series against one grid per (anchor, anchor day,
+    step), built once and compared by prefix."""
+
+    @staticmethod
+    def stamps(anchor, day, n):
+        return tuple(monthrange_add_months(anchor, i, day) for i in range(n))
+
+    def mixed_anchor_series(self):
+        jan31, feb28, jan15 = ts(2019, 1, 31), ts(2021, 2, 28), ts(2020, 1, 15)
+        # Short series before long ones that share their anchor, so the
+        # shared grid is extended; Feb 28 anchors both day 28 and day 31.
+        return {
+            "a_short": self.stamps(jan31, 31, 5),
+            "b_long": self.stamps(jan31, 31, 40),
+            "c_mid": self.stamps(jan31, 31, 17),
+            "d_feb28": self.stamps(feb28, 28, 30),
+            "e_feb_end": self.stamps(feb28, 31, 30),
+            "f_mid_month": self.stamps(jan15, 15, 26),
+        }
+
+    def test_mixed_anchors_accepted(self):
+        series = {
+            key: Series(stamps, np.arange(len(stamps), dtype=float))
+            for key, stamps in self.mixed_anchor_series().items()
+        }
+        panel = SeriesPanel(series, Frequency("M"))
+        assert panel.keys() == sorted(series)
+        for key, s in series.items():
+            assert _matches_grid(s.timestamps, Frequency("M"))  # on its own grid too
+            assert panel[key].timestamps == s.timestamps
+
+    @pytest.mark.parametrize("bad", ["a_short", "b_long", "c_mid", "e_feb_end"])
+    def test_off_grid_series_is_named(self, bad):
+        series = {}
+        for key, stamps in self.mixed_anchor_series().items():
+            if key == bad:
+                i = len(stamps) - 2
+                stamps = stamps[:i] + (stamps[i] - timedelta(days=1),) + stamps[i + 1:]
+            series[key] = Series(stamps, np.zeros(len(stamps)))
+        with pytest.raises(FrequencyError, match=f"series '{bad}'"):
+            SeriesPanel(series, Frequency("M"))
+        assert not _matches_grid(series[bad].timestamps, Frequency("M"))
+
+    def test_long_off_grid_series_builds_no_grid_past_year_9999(self):
+        # 10,000 daily points on a yearly grid would reach year 12019
+        stamps = [ts(2020, 1, 1) + timedelta(days=i) for i in range(10_000)]
+        with pytest.raises(FrequencyError, match="yearly grid"):
+            SeriesPanel({"d": Series(tuple(stamps), np.zeros(10_000))}, Frequency("Y"))
+        stamps[5000] += timedelta(hours=1)
+        with pytest.raises(FrequencyError, match="do not lie on any"):
+            infer_frequency(stamps)
+
+
 class TestParsePanel:
     def test_air_passengers(self, air_passengers):
         assert len(air_passengers) == 1
