@@ -17,6 +17,7 @@ run thousands of times per fit, is handed the filter instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ MAX_D = 2
 SEASONAL_STRENGTH_D = 0.64
 SIGMA2_FLOOR = 1e-10
 ROOT_MARGIN = 1e-6
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,10 @@ def _css_residuals(w, ar_poly, ma_poly, c, lfilter):
     # operands only when the second is longer, so convolve(w, ar_poly) would sum
     # in another order when len(w) == len(ar_poly).  An identity MA filter would
     # only turn -0.0 into 0.0, and convolve never returns -0.0.
-    z = np.convolve(ar_poly, w)[: len(w)] - c
-    return z if len(ma_poly) == 1 else lfilter([1.0], ma_poly, z)
+    z = np.convolve(ar_poly, w)[: len(w)]
+    if c:
+        z = z - c
+    return z if len(ma_poly) == 1 else lfilter(_ONE, ma_poly, z)
 
 
 def _roots_outside(poly: np.ndarray) -> bool:
@@ -128,9 +132,9 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
 
     def objective(params):
         c = params[-1] if use_intercept else 0.0
-        eps = _css_residuals(w, *polys(params), c, lfilter)
-        css = float(np.sum(eps[burn:] ** 2))
-        return css if np.isfinite(css) else 1e300
+        e = _css_residuals(w, *polys(params), c, lfilter)[burn:]
+        css = float(np.add.reduce(e * e))
+        return css if math.isfinite(css) else 1e300
 
     x0 = np.zeros(n_coef)
     if use_intercept:
