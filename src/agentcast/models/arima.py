@@ -5,10 +5,13 @@ seasonal strength is high, then regular differences while the KPSS
 test keeps rejecting level stationarity (d <= 2).  A stepwise search
 over small (p,q)(P,Q) orders fits each candidate by Nelder-Mead on the
 conditional sum of squares and scores it with AICc; non-stationary or
-non-invertible fits are skipped.  Each CSS objective call is one
-``convolve`` (the AR half) plus one IIR ``lfilter`` (the MA half, none
-for a pure AR order).  Forecast variance accumulates psi-weights of the
-fitted (integrated) lag polynomials.
+non-invertible fits are skipped.  The four start-set orders start from
+zeros.  Each neighbour starts from the fit that was best when its pass
+began, every lag block (AR, MA, SAR, SMA) cut or zero-padded and the
+intercept copied, so a neighbour's fit depends on the search path.  Each
+CSS objective call is one ``convolve`` (the AR half) plus one IIR
+``lfilter`` (the MA half, none for a pure AR order).  Forecast variance
+accumulates psi-weights of the fitted (integrated) lag polynomials.
 
 scipy's optimizer and filter (most of a cold ``import agentcast``) are
 imported by each candidate fit and by the forecast, not here; the objective,
@@ -118,8 +121,9 @@ def _roots_outside(poly: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0 + ROOT_MARGIN))
 
 
-def _fit_candidate(w, p, q, P, Q, m, use_intercept):
-    """CSS fit of one order; returns None when invalid or not estimable."""
+def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
+    """CSS fit of one order, from zeros or from the ``start`` fit's
+    coefficients; returns None when invalid or not estimable."""
     from scipy.optimize import minimize
     from scipy.signal import lfilter
     n_coef = p + q + P + Q + (1 if use_intercept else 0)
@@ -138,7 +142,11 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept):
 
     x0 = np.zeros(n_coef)
     if use_intercept:
-        x0[-1] = w.mean()
+        x0[-1] = w.mean() if start is None else start["c"]
+    if start is not None:
+        for at, k, key in ((0, p, "ar"), (p, q, "ma"), (p + q, P, "sar"), (p + q + P, Q, "sma")):
+            n = min(k, len(start[key]))
+            x0[at : at + n] = start[key][:n]
     if n_coef:
         with np.errstate(over="ignore", invalid="ignore"):
             res = minimize(objective, x0, method="Nelder-Mead",
@@ -208,14 +216,14 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
         start = [(p, q, 0, 0) for (p, q, _, _) in start]
     seen: dict[tuple[int, int, int, int], dict | None] = {}
 
-    def evaluate(order):
+    def evaluate(order, start=None):
         p, q, P, Q = order
         if not (0 <= p <= MAX_PQ and 0 <= q <= MAX_PQ):
             return None
         if not (0 <= P <= (1 if seasonal_ok else 0) and 0 <= Q <= (1 if seasonal_ok else 0)):
             return None
         if order not in seen:
-            seen[order] = _fit_candidate(w, p, q, P, Q, m, use_intercept)
+            seen[order] = _fit_candidate(w, p, q, P, Q, m, use_intercept, start)
         return seen[order]
 
     best_order, best = None, None
@@ -227,7 +235,7 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
         raise InsufficientDataError("no valid ARIMA candidate")
 
     for _ in range(25):
-        p, q, P, Q = best_order
+        (p, q, P, Q), start_fit = best_order, best
         moves = [
             (p + 1, q, P, Q), (p - 1, q, P, Q),
             (p, q + 1, P, Q), (p, q - 1, P, Q),
@@ -236,7 +244,7 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
         ]
         improved = False
         for order in moves:
-            fit = evaluate(order)
+            fit = evaluate(order, start_fit)
             if fit and fit["aicc"] < best["aicc"] - 1e-12:
                 best_order, best = order, fit
                 improved = True

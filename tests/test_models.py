@@ -24,6 +24,7 @@ from agentcast.models import (
     get_model,
     ses_fit,
 )
+from agentcast.models.arima import _fit_candidate, _roots_outside
 from agentcast.models.ets import SEASONS, TRENDS, _smooth
 from agentcast.panel import DEFAULT_LEVELS, future_grid
 
@@ -439,9 +440,11 @@ class TestAutoARIMA:
         np.testing.assert_allclose(entry.mean, [9.0, 9.0])
 
     def test_bytes_are_frozen(self, air_passengers):
-        # SHA-256 of the float64 bytes, frozen before the CSS objective
-        # dropped polymul, np.r_ and the FIR lfilter; kernel changes keep
-        # them.  AirPassengers covers the seasonal difference and the P/Q
+        # SHA-256 of the float64 bytes; kernel changes keep them.  The
+        # AirPassengers and white-noise digests were re-frozen when stepwise
+        # neighbours began to warm-start (same orders, winning AICc within
+        # 3e-11); drift, won by a start-set order, kept its bytes.
+        # AirPassengers covers the seasonal difference and the P/Q
         # polynomials, white noise the intercept, the drift series d=1.
         white = np.random.default_rng(0).normal(5.0, 2.0, 300)
         drift = np.cumsum(np.random.default_rng(7).normal(0.2, 1.0, 120))
@@ -465,17 +468,17 @@ class TestAutoARIMA:
         assert digests == {
             "airpassengers": (
                 "ARIMA(3,1,1)(1,1,0)[12]",
-                "2348f2fc406207ba1d51ab6f0816fa3df2b7fc686a467c989c05c9d283ac2b34",
-                "cf98b45aa995f3ef5b286aa090d7c4ba0995a3cc160e3365a42ef1c3c10190ee",
-                "0519692f9eacd2fd5d0057cb671a93b257a2f27ced4e3ce69a67699053375e03",
-                "029dfd21842c7ce5943e2f524fb250bc1276bfdb18b3da09034fa23462eb424a",
+                "aaa2ba3076236128d880bb76df906591607f9251d7a0f96d8ca4a0f7a4437085",
+                "acd940893a2603a6cbe83a34d127628afa5a9e03712fce34dbf67eb8235037a5",
+                "2e94d5b6a29c83b1be20bf00aadac9269b9eafc8068c09918c3f91b5c5213521",
+                "a630fee30f89ae04f46dc32d8a71b2d04ecb89e66c58423b9d0016c033547a25",
             ),
             "white_noise": (
                 "ARIMA(3,0,0)",
-                "b41a553755a251cbd205356d78315914b336da353313ca716ebfcee1e9c03cb6",
-                "acffafcd9b67559ab082a9a3779fdcd3ea51639077a423cc9d48d938840d1cb6",
-                "d15bdbddf5cbc00b58a28b3896dc067bf2b0a77abf4fb4fd37e40766e9b40329",
-                "8719dc24549c3aa290a985202be6869c2979302e97e56cfadd46ee44f455aacb",
+                "40eaca058b0f67639e9f77d46c01d7e7a0ce4f797ee77c509f38bec624a03c30",
+                "7aa7b60d8da3064624b86d62dff4dc72945889e8a046770ed4d1d9106113acda",
+                "ecaafc1779b97da5670e52fb0ecffb2185bcc42da9ace3c3dfdf691e2362e061",
+                "2b58267e86e35e7b1315e6de404a3c197cfd4115b4ed3db9727170755671a31e",
             ),
             "drift": (
                 "ARIMA(0,1,0)",
@@ -486,6 +489,37 @@ class TestAutoARIMA:
             ),
         }
 
+    def test_warm_start_search(self, air_passengers, monkeypatch):
+        import scipy.optimize
+
+        calls = [0]
+        minimize = scipy.optimize.minimize
+
+        def counting(fun, x0, **kwargs):
+            def counted(x):
+                calls[0] += 1
+                return fun(x)
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        y = air_passengers["AirPassengers"].values
+        white = np.random.default_rng(0).normal(5.0, 2.0, 300)
+        cases = [(y[:132], 12, 6000), (y, 12, 7500), (white, 1, None)]
+        for series, m, budget in cases:
+            calls[0] = 0
+            fit = arima_fit(series, m)
+            if budget is not None:
+                assert calls[0] <= budget
+            assert fit.order.aicc == min(a for _, a in fit.candidates)
+            assert _roots_outside(fit.ar_poly) and _roots_outside(fit.ma_poly)
+            # the start set fits cold, byte for byte (white noise: the intercept)
+            seasonal = m > 1
+            use_intercept = fit.order.d + fit.order.D == 0
+            start = [(2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
+            for (p, q, P, Q), (_, aicc) in zip(start, fit.candidates):
+                cold = _fit_candidate(fit.w, p, q, P * seasonal, Q * seasonal, m, use_intercept)
+                expected = np.inf if cold is None else cold["aicc"]
+                assert np.float64(aicc).tobytes() == np.float64(expected).tobytes()
 
 def lag_polynomials(max_degree=26):
     """Lag polynomials as the ARIMA fit builds them: a leading 1.0."""
