@@ -138,7 +138,7 @@ class CrossValReport:
 
     def _folds(self):
         """Per fold, in row order: model, key, cutoff, the series'
-        timestamps, actuals, forecasts, quantile rows (None for a
+        timestamps, actuals, forecasts, quantile rows as lists (None for a
         quantile-free model) and whether the fold failed."""
         for mi, model in enumerate(self.model_names):
             q = self.quantiles[mi]
@@ -147,7 +147,7 @@ class CrossValReport:
                     yield (
                         model, key, cutoff, self.timestamps[si],
                         self.y[si, fi].tolist(), self.yhat[mi, si, fi].tolist(),
-                        None if q is None else list(map(tuple, q[si, fi].tolist())),
+                        None if q is None else q[si, fi].tolist(),
                         bool(self.failed[mi, si, fi]),
                     )
 
@@ -160,6 +160,8 @@ class CrossValReport:
         for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
             if failed or q is None:
                 q = [nan_q if failed else None] * self.h
+            else:
+                q = list(map(tuple, q))
             rows.extend(
                 CrossValRow(
                     key, cutoff, stamps[cutoff - 1], model, k + 1, stamps[cutoff + k],

@@ -357,32 +357,37 @@ def parse_panel(
 
         raw: dict[str, list[tuple[datetime, float]]] = {}
         seen: set[tuple[str, datetime]] = set()
+        # Only the three used cells are stripped, once each.  Each distinct
+        # timestamp text is parsed once; a bad one raises at its first row,
+        # since failures are not stored.
+        stamps: dict[str, datetime] = {}
+        id_at, time_at, value_at = (positions[c] for c in (id_column, time_column, value_column))
         for row_number, line in enumerate(lines, start=2):
-            if not line.strip():
-                continue
-            cells = _split_csv_line(line)
+            cells = line.split(",")
+            if len(cells) == 1 and not cells[0].strip():
+                continue  # a blank or whitespace-only line
             if len(cells) < len(header):
                 raise ParseError(
                     f"row {row_number}: expected {len(header)} columns, got {len(cells)}"
                 )
-            key = cells[positions[id_column]]
+            key = cells[id_at].strip()
             if not key:
                 raise ParseError(f"row {row_number}: empty series id")
+            text = cells[time_at].strip()
+            ts = stamps.get(text)
+            if ts is None:
+                try:
+                    ts = stamps[text] = parse_timestamp(text)
+                except ValueError as exc:
+                    raise ParseError(f"row {row_number}: {exc}") from None
+            text = cells[value_at].strip()
             try:
-                ts = parse_timestamp(cells[positions[time_column]])
-            except ValueError as exc:
-                raise ParseError(f"row {row_number}: {exc}") from None
-            try:
-                value = float(cells[positions[value_column]])
+                value = float(text)
             except ValueError:
-                raise ParseError(
-                    f"row {row_number}: unparseable value "
-                    f"{cells[positions[value_column]]!r}"
-                ) from None
+                raise ParseError(f"row {row_number}: unparseable value {text!r}") from None
             if not math.isfinite(value):
                 raise ParseError(
-                    f"row {row_number}: non-finite value "
-                    f"{cells[positions[value_column]]!r} for series {key!r}"
+                    f"row {row_number}: non-finite value {text!r} for series {key!r}"
                 )
             if (key, ts) in seen:
                 raise DuplicateTimestampError(

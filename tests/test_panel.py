@@ -221,6 +221,31 @@ class TestParsePanel:
         with pytest.raises(ParseError, match="row 3"):
             parse_csv_text(text)
 
+    def test_repeated_bad_timestamp_reports_first_row(self):
+        text = "unique_id,ds,y\na,2020-01-01,1\na,notadate,2\nb,notadate,3\n"
+        with pytest.raises(ParseError, match=r"^row 3: unparseable timestamp 'notadate'$"):
+            parse_csv_text(text)
+
+    def test_whitespace_only_lines_are_skipped(self):
+        text = "unique_id,ds,y\n\n  \na,2020-01-01,1\n\t\r\na,2020-02-01,2\n \na,2020-03-01,3\n"
+        panel = parse_csv_text(text)
+        assert list(panel["a"].values) == [1.0, 2.0, 3.0]
+
+    def test_padded_cells_parse(self):
+        text = "unique_id,ds,y\n a , 2020-01-01 ,1 \n\ta,\t2020-02-01\t,\t2\r\na,2020-03-01, 3\n"
+        panel = parse_csv_text(text)
+        assert panel.keys() == ["a"]
+        assert panel["a"].timestamps == (ts(2020, 1, 1), ts(2020, 2, 1), ts(2020, 3, 1))
+        assert list(panel["a"].values) == [1.0, 2.0, 3.0]
+
+    def test_padded_bad_cells_are_reported_stripped(self):
+        with pytest.raises(ParseError, match=r"^row 2: unparseable value 'oops'$"):
+            parse_csv_text("unique_id,ds,y\na,2020-01-01, oops \n")
+        with pytest.raises(ParseError, match=r"^row 2: unparseable timestamp 'x'$"):
+            parse_csv_text("unique_id,ds,y\na, x ,1\n")
+        with pytest.raises(ParseError, match=r"^row 2: empty series id$"):
+            parse_csv_text("unique_id,ds,y\n  ,2020-01-01,1\n")
+
     def test_bad_value_reports_row(self):
         text = "unique_id,ds,y\na,2020-01-01,oops\n"
         with pytest.raises(ParseError, match="row 2"):
