@@ -380,14 +380,14 @@ def parse_panel(
                     ts = stamps[text] = parse_timestamp(text)
                 except ValueError as exc:
                     raise ParseError(f"row {row_number}: {exc}") from None
-            text = cells[value_at].strip()
+            cell = cells[value_at].strip()
             try:
-                value = float(text)
+                value = float(cell)
             except ValueError:
-                raise ParseError(f"row {row_number}: unparseable value {text!r}") from None
+                raise ParseError(f"row {row_number}: unparseable value {cell!r}") from None
             if not math.isfinite(value):
                 raise ParseError(
-                    f"row {row_number}: non-finite value {text!r} for series {key!r}"
+                    f"row {row_number}: non-finite value {cell!r} for series {key!r}"
                 )
             if (key, ts) in seen:
                 raise DuplicateTimestampError(

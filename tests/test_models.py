@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
@@ -490,8 +491,6 @@ class TestAutoARIMA:
         }
 
     def test_warm_start_search(self, air_passengers, monkeypatch):
-        import scipy.optimize
-
         calls = [0]
         minimize = scipy.optimize.minimize
 
@@ -520,6 +519,7 @@ class TestAutoARIMA:
                 cold = _fit_candidate(fit.w, p, q, P * seasonal, Q * seasonal, m, use_intercept)
                 expected = np.inf if cold is None else cold["aicc"]
                 assert np.float64(aicc).tobytes() == np.float64(expected).tobytes()
+
 
 def lag_polynomials(max_degree=26):
     """Lag polynomials as the ARIMA fit builds them: a leading 1.0."""
