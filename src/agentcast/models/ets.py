@@ -8,8 +8,10 @@ AICc (Gaussian likelihood of the one-step residuals, k = free
 parameters + initial states), lowest wins.  Quantiles come from seeded
 simulation of future sample paths with Gaussian innovations.
 
-``_smooth`` is the one additive recursion: the grid batches, the winner's
-end states and SES (so Theta, Croston and ADIDA) as ETS(A,N,N) all run it.
+``_smooth`` is the one additive recursion: the fit, the winner's end
+states and SES (so Theta, Croston and ADIDA) as ETS(A,N,N) all run it.
+All structures' grids, then all their descent passes, share one call per
+pass, each row carrying its own structure's initial states.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ def _initial_states(y, m, trend, season):
 def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
     """Additive error-correction recursion of ETS(A,*,*) over ``y``.
 
-    Weights are floats (one parameter set) or equal-length arrays (one set
-    per row); a row equals the scalar run bit for bit, as both do the same
-    IEEE operations in order.  ``phi`` multiplies the slope: 0 without a
+    Weights and initial states are floats (one run) or equal-length arrays
+    (one per row; ``seasonal`` is then a list of per-slot arrays); a row
+    equals its scalar run bit for bit, as both do the same IEEE operations
+    in order.  ``phi`` multiplies the slope: 0 without a
     trend, 1 undamped.  ``y[t]`` meets seasonal slot ``t % len(seasonal)``.
     Returns the SSE (inf if not finite), the end level, slope and seasonal
     states, and the one-step forecasts.
@@ -198,35 +201,18 @@ def _clamp_combo(trend, season, a, b, g, p):
     return a, b, g, p
 
 
-def _refine(y, trend, season, init, combo, sse):
-    """Steepest coordinate descent with 0.01 steps around the coarse winner."""
-    free = [0]
-    if trend != "N":
-        free.append(1)
-    if season == "A":
-        free.append(2)
-    if trend == "Ad":
-        free.append(3)
-    best = tuple(combo)
-    best_sse = sse
-    for _ in range(500):
-        trials = []
-        for idx in free:
-            for step in (0.01, -0.01):
-                trial = list(best)
-                trial[idx] = round(trial[idx] + step, 10)
-                trial = _clamp_combo(trend, season, *trial)
-                if trial != best and trial not in trials:
-                    trials.append(trial)
-        if not trials:
-            break
-        sses = _smooth(y, *init, *np.asarray(trials).T)[0]
-        i = int(np.argmin(sses))
-        if sses[i] < best_sse - 1e-12:
-            best, best_sse = trials[i], float(sses[i])
-        else:
-            break
-    return best, best_sse
+def _moves(trend, season, best):
+    """Distinct admissible 0.01 steps of each free weight away from ``best``."""
+    free = (True, trend != "N", season == "A", trend == "Ad")
+    trials = []
+    for idx in (i for i, on in enumerate(free) if on):
+        for step in (0.01, -0.01):
+            trial = list(best)
+            trial[idx] = round(trial[idx] + step, 10)
+            trial = _clamp_combo(trend, season, *trial)
+            if trial != best and trial not in trials:
+                trials.append(trial)
+    return trials
 
 
 def _aicc(sse: float, n: int, k: int) -> float:
@@ -252,25 +238,39 @@ def ets_fit(y: np.ndarray, m: int) -> ETSFit:
             f"auto ETS needs at least {MIN_OBS} observations, got {n}"
         )
     allow_seasonal = m > 1 and n >= 2 * m
-    results = []
-    candidates = []
-    for trend in TRENDS:
-        for season in SEASONS:
-            if season == "A" and not allow_seasonal:
-                continue
-            label = f"ETS(A,{trend},{season})"
-            init = _initial_states(y, m, trend, season)
-            combos = _coarse_grid(trend, season)
-            sses = _smooth(y, *init, *np.asarray(combos).T)[0]
-            best_i = int(np.argmin(sses))
-            if not np.isfinite(sses[best_i]):
-                candidates.append((label, np.inf))
-                continue
-            combo, sse = _refine(y, trend, season, init, combos[best_i], sses[best_i])
-            aicc = _aicc(sse, n, _param_count(trend, season, m))
-            candidates.append((label, aicc))
-            if np.isfinite(aicc):
-                results.append((aicc, trend, season, combo, init))
+    structures = [(t, s) for t in TRENDS for s in SEASONS if s == "N" or allow_seasonal]
+    inits = [_initial_states(y, m, t, s) for t, s in structures]
+    states = np.array([[level, slope, *s0] for level, slope, s0 in inits])
+    # Pass 0 tries each coarse grid, every later pass the steepest-descent
+    # moves around each structure's best; a structure stops at its first
+    # pass without a gain, or after 500 descent passes.
+    trials = [_coarse_grid(t, s) for t, s in structures]
+    best = [None] * len(structures)
+    best_sse = [np.inf] * len(structures)
+    for _ in range(501):
+        moving = [i for i, rows in enumerate(trials) if rows]
+        if not moving:
+            break
+        level, slope, *seasonal = states[[i for i in moving for _ in trials[i]]].T
+        weights = np.asarray([row for i in moving for row in trials[i]]).T
+        sses = _smooth(y, level, slope, seasonal, *weights)[0]
+        start = 0
+        for i in moving:
+            rows = trials[i]
+            part = sses[start : start + len(rows)]
+            start += len(rows)
+            j = int(np.argmin(part))
+            if part[j] < best_sse[i] - 1e-12:
+                best[i], best_sse[i] = rows[j], float(part[j])
+                trials[i] = _moves(*structures[i], rows[j])
+            else:
+                trials[i] = []
+    results, candidates = [], []
+    for (trend, season), combo, sse, init in zip(structures, best, best_sse, inits):
+        aicc = _aicc(sse, n, _param_count(trend, season, m))
+        candidates.append((f"ETS(A,{trend},{season})", aicc))
+        if np.isfinite(aicc):
+            results.append((aicc, trend, season, combo, init))
     if not results:
         raise InsufficientDataError("no ETS candidate produced a finite likelihood")
     aicc, trend, season, combo, init = min(results, key=lambda r: r[0])

@@ -355,8 +355,7 @@ def parse_panel(
                 raise SchemaError(f"missing column {col!r} in CSV header")
             positions[col] = header.index(col)
 
-        raw: dict[str, list[tuple[datetime, float]]] = {}
-        seen: set[tuple[str, datetime]] = set()
+        raw: dict[str, dict[datetime, float]] = {}
         # Only the three used cells are stripped, once each.  Each distinct
         # timestamp text is parsed once; a bad one raises at its first row,
         # since failures are not stored.
@@ -389,24 +388,23 @@ def parse_panel(
                 raise ParseError(
                     f"row {row_number}: non-finite value {cell!r} for series {key!r}"
                 )
-            if (key, ts) in seen:
+            points = raw.get(key)
+            if points is None:
+                points = raw[key] = {}
+            elif ts in points:
                 raise DuplicateTimestampError(
                     f"row {row_number}: duplicate timestamp "
                     f"{format_timestamp(ts)} for series {key!r}"
                 )
-            seen.add((key, ts))
-            raw.setdefault(key, []).append((ts, value))
+            points[ts] = value
     finally:
         if with_close:
             lines.close()
 
     series = {}
-    for key, pairs in raw.items():
-        pairs.sort(key=lambda p: p[0])
-        series[key] = Series(
-            tuple(ts for ts, _ in pairs),
-            np.array([v for _, v in pairs], dtype=float),
-        )
+    for key, points in raw.items():
+        times = tuple(sorted(points))
+        series[key] = Series(times, np.array([points[ts] for ts in times], dtype=float))
 
     if not series:
         return SeriesPanel({}, freq)

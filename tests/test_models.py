@@ -196,10 +196,8 @@ finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def recursion_cases(draw, trend, season):
-    """A series, starting states and parameter rows for one ETS structure."""
-    m = draw(st.sampled_from([1, 2, 4, 12]))
-    y = np.array(draw(st.lists(finite_values, min_size=1, max_size=40)))
+def structure_rows(draw, trend, season, m):
+    """Starting states and parameter rows for one ETS structure."""
     level = draw(finite_values)
     slope = draw(finite_values) if trend != "N" else 0.0
     if season == "A":
@@ -214,12 +212,49 @@ def recursion_cases(draw, trend, season):
         st.floats(0.8, 0.98) if trend == "Ad" else st.just(1.0 if trend == "A" else 0.0),
     )
     rows = draw(st.lists(row, min_size=1, max_size=8))
-    return y, (level, slope, seasonal), rows
+    return (level, slope, seasonal), rows
+
+
+@st.composite
+def recursion_cases(draw, trend, season):
+    """A series, starting states and parameter rows for one ETS structure."""
+    m = draw(st.sampled_from([1, 2, 4, 12]))
+    y = np.array(draw(st.lists(finite_values, min_size=1, max_size=40)))
+    init, rows = draw(structure_rows(trend, season, m))
+    return y, init, rows
+
+
+@st.composite
+def mixed_structure_cases(draw):
+    """A series and (states, parameters) rows of mixed ETS structures, each
+    structure drawn with its own starting states, as the AutoETS fit batches
+    them."""
+    m = draw(st.sampled_from([1, 2, 4, 12]))
+    y = np.array(draw(st.lists(finite_values, min_size=1, max_size=40)))
+    structures = st.tuples(st.sampled_from(TRENDS), st.sampled_from(SEASONS))
+    runs = []
+    for trend, season in draw(st.lists(structures, min_size=1, max_size=6)):
+        init, rows = draw(structure_rows(trend, season, m))
+        runs += [(init, row) for row in rows]
+    return y, runs
 
 
 def row_bytes(value, i, count):
     """Bytes of row ``i`` of a batch result (a float if never updated)."""
     return np.broadcast_to(np.asarray(value, dtype=float), (count,))[i].tobytes()
+
+
+def assert_row_is_scalar_run(batch, i, count, scalar):
+    """Row ``i`` of a ``count``-row ``_smooth`` result equals a scalar run."""
+    sse, level, slope, seasonal, fitted = batch
+    one_sse, one_level, one_slope, one_seasonal, one_fitted = scalar
+    assert row_bytes(sse, i, count) == np.float64(one_sse).tobytes()
+    assert row_bytes(level, i, count) == np.float64(one_level).tobytes()
+    assert row_bytes(slope, i, count) == np.float64(one_slope).tobytes()
+    for got, want in zip(seasonal, one_seasonal, strict=True):
+        assert row_bytes(got, i, count) == np.float64(want).tobytes()
+    for got, want in zip(fitted, one_fitted, strict=True):
+        assert row_bytes(got, i, count) == np.float64(want).tobytes()
 
 
 class TestSmoothRecursion:
@@ -229,17 +264,20 @@ class TestSmoothRecursion:
     @given(data=st.data())
     def test_batch_rows_equal_scalar_runs(self, trend, season, data):
         y, init, rows = data.draw(recursion_cases(trend, season))
-        sse, level, slope, seasonal, fitted = _smooth(y, *init, *np.array(rows).T)
-        c = len(rows)
+        batch = _smooth(y, *init, *np.array(rows).T)
         for i, row in enumerate(rows):
-            one_sse, one_level, one_slope, one_seasonal, one_fitted = _smooth(y, *init, *row)
-            assert row_bytes(sse, i, c) == np.float64(one_sse).tobytes()
-            assert row_bytes(level, i, c) == np.float64(one_level).tobytes()
-            assert row_bytes(slope, i, c) == np.float64(one_slope).tobytes()
-            for got, want in zip(seasonal, one_seasonal, strict=True):
-                assert row_bytes(got, i, c) == np.float64(want).tobytes()
-            for got, want in zip(fitted, one_fitted, strict=True):
-                assert row_bytes(got, i, c) == np.float64(want).tobytes()
+            assert_row_is_scalar_run(batch, i, len(rows), _smooth(y, *init, *row))
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rows_with_own_states_equal_scalar_runs(self, data):
+        y, runs = data.draw(mixed_structure_cases())
+        level = np.array([init[0] for init, _ in runs])
+        slope = np.array([init[1] for init, _ in runs])
+        seasonal = list(np.array([init[2] for init, _ in runs]).T)
+        batch = _smooth(y, level, slope, seasonal, *np.array([row for _, row in runs]).T)
+        for i, (init, row) in enumerate(runs):
+            assert_row_is_scalar_run(batch, i, len(runs), _smooth(y, *init, *row))
 
     @settings(max_examples=200)
     @given(st.lists(finite_values, min_size=1, max_size=60))
@@ -384,6 +422,48 @@ class TestAutoETS:
             "states": "f78f5b877347ed2f39da722609f8b4afb6daed622d37a772e904034eb1e27d60",
             "candidates": "d4b3077a428a2239a2eaad720688297cb41abe399f04663321fb1b4e16cceeab",
         }
+
+    def test_fits_are_frozen_across_structures(self, air_passengers):
+        # One SHA-256 over every fit, frozen before the structures were
+        # fitted in lockstep: the winner's repr, end states, candidates and
+        # mean, or the error a fit raised.
+        y = air_passengers["AirPassengers"].values
+        rng = np.random.default_rng(2002)
+        cases = [(y, 12), (y[:132], 12), (y[:40], 12)]
+        for n in (10, 24, 40, 75, 150):
+            walk = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n))
+            cases += [(walk, 1), (walk, 12)]
+        # ~1e153 overflows the SSE of some structures, ~1e160 of all
+        mixed = 10.0**153.375 * np.cumsum(np.random.default_rng(7).normal(0.0, 1.0, 40))
+        cases += [(mixed, 1), (mixed, 4), (1e160 * (1.0 + rng.random(40)), 1)]
+        cases += [(np.full(30, 7.0), 12), (np.arange(10.0) ** 2, 4), (np.arange(9.0), 1)]
+        parts = []
+        for series, m in cases:
+            try:
+                fit = ets_fit(series, m)
+            except InsufficientDataError as exc:
+                parts.append(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            labels = "|".join(label for label, _ in fit.candidates).encode()
+            parts += [repr(fit.params).encode(), [fit.final_level, fit.final_slope],
+                      fit.final_seasonal, labels, [aicc for _, aicc in fit.candidates],
+                      fit.forecast_mean(12)]
+        assert sha256_of(*parts) == (
+            "d2aabf0495d22cbe3c3851d8cdbdda9488bfc9006dfb85adbbfb83db4963f471"
+        )
+
+    def test_lockstep_call_budget(self, air_passengers, monkeypatch):
+        # one _smooth call runs every structure's grid, one each descent
+        # pass of the structures still moving, one the winner's end states
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _smooth(*args)
+
+        monkeypatch.setattr("agentcast.models.ets._smooth", counting)
+        ets_fit(air_passengers["AirPassengers"].values, 12)
+        assert len(calls) <= 15
 
     def test_programming_error_is_not_a_fallback(self):
         panel = make_panel({"s": [1.0, 2.0, 3.0, 4.0]})

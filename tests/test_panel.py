@@ -262,6 +262,17 @@ class TestParsePanel:
         with pytest.raises(DuplicateTimestampError):
             parse_csv_text(text)
 
+    def test_duplicate_timestamp_names_row_and_series(self):
+        # two interleaved series on the same stamps; b repeats one 3 rows on
+        text = (
+            "unique_id,ds,y\n"
+            "a,2020-01-01,1\nb,2020-01-01,2\na,2020-02-01,3\nb,2020-02-01,4\n"
+            "a,2020-03-01,5\nb,2020-03-01,6\nb,2020-02-01,7\na,2020-04-01,8\n"
+        )
+        message = r"^row 8: duplicate timestamp 2020-02-01 for series 'b'$"
+        with pytest.raises(DuplicateTimestampError, match=message):
+            parse_csv_text(text)
+
     def test_irregular_spacing_rejected(self):
         text = "unique_id,ds,y\na,2020-01-01,1\na,2020-01-05,2\na,2020-02-01,3\n"
         with pytest.raises(FrequencyError):
