@@ -148,8 +148,8 @@ def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
     Weights and initial states are floats (one run) or equal-length arrays
     (one per row; ``seasonal`` is then a list of per-slot arrays); a row
     equals its scalar run bit for bit, as both do the same IEEE operations
-    in order.  ``phi`` multiplies the slope: 0 without a
-    trend, 1 undamped.  ``y[t]`` meets seasonal slot ``t % len(seasonal)``.
+    in order.  ``phi`` multiplies the slope: 0 without a trend, 1 undamped.
+    ``y[t]`` meets seasonal slot ``t % len(seasonal)``.
     Returns the SSE (inf if not finite), the end level, slope and seasonal
     states, and the one-step forecasts.
     """
@@ -203,9 +203,9 @@ def _clamp_combo(trend, season, a, b, g, p):
 
 def _moves(trend, season, best):
     """Distinct admissible 0.01 steps of each free weight away from ``best``."""
-    free = (True, trend != "N", season == "A", trend == "Ad")
+    free = [i for i, on in enumerate((True, trend != "N", season == "A", trend == "Ad")) if on]
     trials = []
-    for idx in (i for i, on in enumerate(free) if on):
+    for idx in free:
         for step in (0.01, -0.01):
             trial = list(best)
             trial[idx] = round(trial[idx] + step, 10)
