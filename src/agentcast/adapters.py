@@ -5,10 +5,12 @@ A model is requested by a spec string: a bare registry alias, an
 "adapter:<url>" pointing at a forecast server, or
 "median_ensemble:a+b+c" combining other specs.  ``RemoteForecaster`` and
 ``EnsembleForecaster`` override only the per-series step of
-``Forecaster``, so its one panel loop and every CV fold drive all kinds
-alike.  The remote step is one JSON request (POST {base}/forecast)
-through the retrying client in ``_http``, whose response must hold ``h``
-finite values for the mean and for each requested level.
+``Forecaster``, so its one panel loop drives all kinds alike.  A CV fold
+runs the step of every other kind; an ensemble fold combines its
+members' folds (``_combine``).  The remote step is one JSON request
+(POST {base}/forecast) through the retrying client in ``_http``, whose
+response must hold ``h`` finite values for the mean and for each
+requested level.
 A threaded stub server mirroring any builtin model backs the tests.
 
 Wire format, request:  {"id", "freq", "ds", "y", "h", "levels"}
@@ -186,7 +188,7 @@ class EnsembleForecaster(Forecaster):
     """Median of the members' forecasts of each series.
 
     Quantile rows are monotonized after the median; requesting levels
-    when no member supports them is a config error.  A non-finite
+    when no member forecasts quantiles is a config error.  A non-finite
     combined cell (finite members can overflow in the median's midpoint)
     is a forecasting failure, as it is for a single model.
     """
@@ -195,10 +197,10 @@ class EnsembleForecaster(Forecaster):
         members = list(members)
         if not members:
             raise ValueError("ensemble needs at least one member")
+        if any(isinstance(m, EnsembleForecaster) for m in members):
+            raise ConfigError("nested ensembles are not supported")
         self.members = members
         self.name = f"median_ensemble[{'+'.join(m.name for m in members)}]"
-        self.supports_quantiles = any(m.supports_quantiles for m in members)
-        self.waits_on_network = any(m.waits_on_network for m in members)
 
     def _forecast_values(self, key, series, freq, h, levels):
         return self._combine(
@@ -206,11 +208,11 @@ class EnsembleForecaster(Forecaster):
         )
 
     def _combine(self, key, member_results, levels):
-        """(mean, quantiles, fallback) from the members' results in member order;
-        an iterator of their steps runs after the levels check, CV passes stored folds."""
-        if levels is not None and not self.supports_quantiles:
-            raise ConfigError("quantile levels requested but no ensemble member supports quantiles")
+        """(mean, quantiles, fallback) from the members' results in member
+        order: their steps, or the folds that CV stored."""
         mean, quantiles, fallback = _median_values(member_results)
+        if levels is not None and quantiles is None:
+            raise ConfigError("quantile levels requested but no ensemble member supports quantiles")
         if quantiles is not None:
             quantiles = _monotone_rows(quantiles)
         _check_finite(mean, quantiles, self.name, key)

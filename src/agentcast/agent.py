@@ -70,15 +70,14 @@ class Candidate:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Pipeline knobs; ``h=None`` defers to the query or season length.
-    ``n_jobs`` bounds only the remote requests in flight during CV."""
+    """Pipeline knobs; ``n_jobs`` bounds only the remote requests in
+    flight during CV."""
 
     mode: str = "deterministic"
     budget: int = 5
     n_windows: int = 1
     step: int | None = None
     levels: tuple[float, ...] | None = DEFAULT_LEVELS
-    h: int | None = None
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -496,8 +495,8 @@ def run_agent(
 
     Deterministic mode performs zero network requests and is a pure
     function of (panel, query, h, config).  The horizon comes from the
-    explicit argument, then the config, then (LLM mode) "next N" in the
-    query capped at 4 season lengths, then the season length itself.
+    explicit argument, then (LLM mode) "next N" in the query capped at 4
+    season lengths, then the season length itself.
     """
     config = config or AgentConfig()
     if config.mode == "llm" and llm_config is None:
@@ -506,13 +505,12 @@ def run_agent(
         raise ConfigError("cannot run the agent on an empty panel")
 
     m = panel.season_length
-    effective_h = h if h is not None else config.h
-    if effective_h is None and config.mode == "llm" and query:
-        effective_h = _horizon_from_query(query, m)
-    if effective_h is None:
-        effective_h = m
-    if effective_h < 1:
-        raise ConfigError(f"horizon must be >= 1, got {effective_h}")
+    if h is None and config.mode == "llm" and query:
+        h = _horizon_from_query(query, m)
+    if h is None:
+        h = m
+    if h < 1:
+        raise ConfigError(f"horizon must be >= 1, got {h}")
 
     trace: list[str] = []
     features = compute_features(panel)
@@ -531,14 +529,14 @@ def run_agent(
     cv = cross_validate(
         panel,
         [c.alias for c in candidates],
-        effective_h,
+        h,
         n_windows=config.n_windows,
         step=config.step,
         levels=config.levels,
         n_jobs=config.n_jobs,
     )
     trace.append(
-        f"cv: {len(cv)} rows, {config.n_windows} fold(s) at h={effective_h}, "
+        f"cv: {len(cv)} rows, {config.n_windows} fold(s) at h={h}, "
         f"{int(cv.failed.sum())} failed fold(s)"
     )
     if cv.failed.all():
@@ -551,25 +549,25 @@ def run_agent(
     rationale = _rationale(leaderboard)
     trace.append(f"select: {rationale}")
 
-    frame = get_model(selected).forecast(panel, effective_h, config.levels)
+    frame = get_model(selected).forecast(panel, h, config.levels)
     monotone = frame.levels is not None
     if monotone:
         frame = monotonize_quantiles(frame)
     trace.append(
-        f"forecast: {selected} refit on full history, h={effective_h}, "
+        f"forecast: {selected} refit on full history, h={h}, "
         f"quantiles {'monotonized' if monotone else 'absent'}"
     )
 
     if config.mode == "llm":
         explanation = _llm_explanation(
-            profile, leaderboard, frame, effective_h, llm_config, transport
+            profile, leaderboard, frame, h, llm_config, transport
         ) or _deterministic_explanation(
-            profile, leaderboard, frame, effective_h, config, len(features)
+            profile, leaderboard, frame, h, config, len(features)
         )
         response = answer_query(query, frame, llm_config, transport)
     else:
         explanation = _deterministic_explanation(
-            profile, leaderboard, frame, effective_h, config, len(features)
+            profile, leaderboard, frame, h, config, len(features)
         )
         response = answer_query(query, frame)
     trace.append(f"answer: {'query answered' if query else 'default summary'}")
@@ -584,5 +582,5 @@ def run_agent(
         explanation=explanation,
         user_query_response=response,
         trace=tuple(trace),
-        h=effective_h,
+        h=h,
     )

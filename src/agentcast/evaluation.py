@@ -213,10 +213,12 @@ def cross_validate(
     actuals are recorded verbatim.
     A forecasting failure of one (model, series, fold) is recorded as a
     failed fold and never aborts the run; a programming error propagates.
-    Only folds of a forecaster that ``waits_on_network`` run on a pool of
-    ``n_jobs`` threads, which bounds the remote requests in flight; every
-    other fold runs on the calling thread.  The report is the same at any
-    ``n_jobs``.
+    Each model other than an ensemble is fitted once per fold, unlisted
+    ensemble members included; an ensemble fold is the median of its
+    members' folds.  Only folds of a forecaster that ``waits_on_network``
+    run on a pool of ``n_jobs`` threads, which bounds the remote requests
+    in flight; every other fold runs on the calling thread.  The report is
+    the same at any ``n_jobs``.
     """
     if len(panel) == 0:
         raise ConfigError("cannot cross-validate an empty panel")
@@ -232,6 +234,19 @@ def cross_validate(
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise ConfigError(f"duplicate model name(s) in list: {', '.join(dupes)}")
+
+    # An ensemble member is matched to a listed model by class and name; an
+    # unlisted one becomes an extra model after the listed ones, whose
+    # slices are dropped from the report.
+    index = {(type(f), f.name): i for i, f in enumerate(forecasters)}
+    members = {}
+    for mi, f in enumerate(forecasters[: len(names)]):
+        if isinstance(f, EnsembleForecaster):
+            for m in f.members:
+                if (type(m), m.name) not in index:
+                    index[type(m), m.name] = len(forecasters)
+                    forecasters.append(m)
+            members[mi] = [index[type(m), m.name] for m in f.members]
 
     keys = tuple(panel.keys())
     plans = []
@@ -251,62 +266,66 @@ def cross_validate(
     ])
     yhat = np.full(shape + (h,), np.nan)
     failed = np.zeros(shape, dtype=bool)
-    quantiles = [
-        np.full(shape[1:] + (h, len(levels)), np.nan)
-        if levels is not None and f.supports_quantiles else None
-        for f in forecasters
-    ]
+    quantiles = [None] * len(forecasters)  # allocated at a model's first quantile block
 
-    # A local ensemble whose members are all listed (same class, same name)
-    # combines their stored fold results; its folds run after theirs.
-    ensemble = [isinstance(f, EnsembleForecaster) for f in forecasters]
-    listed = {(type(f), f.name): i for i, f in enumerate(forecasters) if not ensemble[i]}
-    reuse = {
-        mi: [listed[type(m), m.name] for m in f.members]
-        for mi, f in enumerate(forecasters)
-        if ensemble[mi] and not f.waits_on_network
-        and all((type(m), m.name) in listed for m in f.members)
-    }
     folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
-    remote = [fold for fold in folds if forecasters[fold[0]].waits_on_network]
-    local = [fold for fold in folds if not forecasters[fold[0]].waits_on_network]
-    local.sort(key=lambda fold: fold[0] in reuse)
+    combined = [fold for fold in folds if fold[0] in members]
+    fits = [fold for fold in folds if fold[0] not in members]
+    remote = [fold for fold in fits if forecasters[fold[0]].waits_on_network]
+    local = [fold for fold in fits if not forecasters[fold[0]].waits_on_network]
     series = [panel[key] for key in keys]
 
-    def evaluate(fold):
-        """One fold's (mean, quantiles, fallback), or None on a forecasting
-        failure; a validated series' prefix needs no validation (``head``)."""
+    def fit(fold):
+        """One fold's (mean, quantiles, fallback), or None on a forecasting failure."""
         mi, si, fi = fold
-        members = reuse.get(mi)
-        if members is not None and failed[members, si, fi].any():
-            return None  # as the member's own raise would
+        s, cutoff = series[si], plans[si].cutoffs[fi]
+        # A prefix of a validated series needs no validation: it is finite,
+        # strictly increasing and on the grid, clamped month ends included.
+        # The full series has days min(A, month length) with A its largest
+        # day.  If the prefix's largest day D is below A, every prefix day
+        # is already clamped to its month's end, so min(D, month length)
+        # reproduces each of them.
+        train = Series(s.timestamps[:cutoff], s.values[:cutoff])
         try:
-            if members is None:
-                s, cutoff = series[si], plans[si].cutoffs[fi]
-                train = Series(s.timestamps[:cutoff], s.values[:cutoff])
-                return forecasters[mi]._forecast_values(keys[si], train, panel.freq, h, levels)
+            return forecasters[mi]._forecast_values(keys[si], train, panel.freq, h, levels)
+        except _FORECAST_FAILURES:
+            return None
+
+    def combine(fold):
+        """An ensemble fold from its members' stored folds; a fold that any
+        member failed fails, as the member's own raise would."""
+        mi, si, fi = fold
+        if failed[members[mi], si, fi].any():
+            return None
+        try:
             return forecasters[mi]._combine(keys[si], [
                 (yhat[j, si, fi], None if quantiles[j] is None else quantiles[j][si, fi], False)
-                for j in members
+                for j in members[mi]
             ], levels)
         except _FORECAST_FAILURES:
             return None
 
-    # Remote folds wait on the pool while local folds run on this thread.
+    # Remote folds wait on the pool while local folds run on this thread;
+    # the chain is lazy, so ensemble folds combine after every member fold.
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        replies = pool.map(evaluate, remote)
-        results = chain(zip(local, map(evaluate, local)), zip(remote, replies))
+        replies = pool.map(fit, remote)
+        results = chain(
+            zip(local, map(fit, local)), zip(remote, replies), zip(combined, map(combine, combined))
+        )
         for (mi, si, fi), result in results:
             if result is None:
                 failed[mi, si, fi] = True
                 continue
             yhat[mi, si, fi], q, _ = result
-            if quantiles[mi] is not None:
+            if q is not None:
+                if quantiles[mi] is None:
+                    quantiles[mi] = np.full(shape[1:] + (h, len(levels)), np.nan)
                 quantiles[mi][si, fi] = q
 
+    listed = len(names)
     return CrossValReport(
-        tuple(names), keys, tuple(panel[key].timestamps for key in keys), cutoffs,
-        y, yhat, tuple(quantiles), failed, levels, h, n_windows, step_val,
+        tuple(names), keys, tuple(panel[key].timestamps for key in keys), cutoffs, y,
+        yhat[:listed], tuple(quantiles[:listed]), failed[:listed], levels, h, n_windows, step_val,
     )
 
 

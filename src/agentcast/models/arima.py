@@ -27,12 +27,11 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..features import decompose, kpss_statistic, seasonal_strength
-from .base import Forecaster, gaussian_quantiles
+from .base import SIGMA2_FLOOR, Forecaster, _aicc, gaussian_quantiles
 
 MAX_PQ = 3
 MAX_D = 2
 SEASONAL_STRENGTH_D = 0.64
-SIGMA2_FLOOR = 1e-10
 ROOT_MARGIN = 1e-6
 _ONE = np.ones(1)
 
@@ -162,14 +161,9 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
     css = float(np.sum(eps[burn:] ** 2))
     if not np.isfinite(css):
         return None
-    sigma2 = max(css / n_eff, SIGMA2_FLOOR)
-    k = n_coef + 1  # plus the innovation variance
-    if n_eff - k - 1 <= 0:
-        return None
-    loglik = -0.5 * n_eff * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    aicc = -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n_eff - k - 1)
     return {
-        "aicc": aicc, "sigma2": sigma2, "c": c if use_intercept else None,
+        "aicc": _aicc(css, n_eff, n_coef + 1),  # plus the innovation variance
+        "sigma2": max(css / n_eff, SIGMA2_FLOOR), "c": c if use_intercept else None,
         "ar": params[:p], "ma": params[p : p + q],
         "sar": params[p + q : p + q + P], "sma": params[p + q + P : p + q + P + Q],
         "ar_poly": ar_poly, "ma_poly": ma_poly, "eps": eps,

@@ -1,14 +1,17 @@
 """Forecaster contract shared by every model kind.
 
 Each forecaster has one per-series step, ``_forecast_values``, giving the
-``h`` point forecasts, the h x L quantile matrix (None when quantile-free)
-and whether the naive fallback was used.  The builtin step runs
-``_forecast_series`` on the values, counts a non-finite mean or quantile
-as a forecasting failure and applies the auto models' naive fallback;
-adapter and ensemble forecasters override only the step.  ``forecast`` is
-the one panel loop: it validates ``h`` and the levels, runs the step per
-series and attaches the future timestamps.  Cross-validation folds call
-the step directly on a training prefix, with no frame and no timestamps.
+``h`` point forecasts, the h x L quantile matrix (None when no levels
+were requested or the model forecasts no quantiles) and whether the
+naive fallback was used.  The builtin step runs ``_forecast_series`` on
+the values, counts a non-finite mean or quantile as a forecasting
+failure and applies the auto models' naive fallback; adapter and
+ensemble forecasters override only the step.  ``forecast`` is the one
+panel loop: it validates ``h`` and the levels, runs the step per series
+and attaches the future timestamps; its frame has no levels when a step
+returned no quantiles.  Cross-validation folds call the step directly on
+a training prefix, with no frame and no timestamps; an ensemble's folds
+combine its members' folds instead.
 """
 
 from __future__ import annotations
@@ -40,11 +43,23 @@ def gaussian_quantiles(
     return mean[:, None] + z[None, :] * np.asarray(sigma, dtype=float)[:, None]
 
 
+SIGMA2_FLOOR = 1e-10
+
+
+def _aicc(sse: float, n: int, k: int) -> float:
+    """Gaussian AICc of ``n`` residuals with sum of squares ``sse`` and
+    ``k`` parameters; inf when ``sse`` is not finite or n - k - 1 <= 0."""
+    if not np.isfinite(sse) or n - k - 1 <= 0:
+        return np.inf
+    sigma2 = max(sse / n, SIGMA2_FLOOR)
+    loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
+    return -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
+
+
 class Forecaster:
     """Base class: builtin models set ``name`` and implement ``_forecast_series``."""
 
     name = "forecaster"
-    supports_quantiles = True
     # auto models degrade to naive on failure instead of aborting a batch
     fallback_to_naive = False
     # CV overlaps only folds that wait on a remote reply: a local fit holds
@@ -60,8 +75,6 @@ class Forecaster:
         self, key: str, series: Series, freq: Frequency, h: int, levels: tuple[float, ...] | None
     ) -> tuple[np.ndarray, np.ndarray | None, bool]:
         """(mean, quantiles, fallback) of one series; ``h`` and ``levels`` are valid."""
-        if not self.supports_quantiles:
-            levels = None
         try:
             mean, quantiles = self._forecast_series(series.values, freq.season_length, h, levels)
             _check_finite(mean, quantiles, self.name, key)
@@ -88,7 +101,9 @@ class Forecaster:
             mean, quantiles, fallback = self._forecast_values(key, s, panel.freq, h, levels)
             timestamps = tuple(future_grid(s.timestamps[-1], panel.freq, h))
             entries[key] = ForecastEntry(timestamps, mean, quantiles, fallback)
-        return ForecastFrame(self.name, entries, levels if self.supports_quantiles else None)
+        if any(entry.quantiles is None for entry in entries.values()):
+            levels = None
+        return ForecastFrame(self.name, entries, levels)
 
 
 def _naive_series(

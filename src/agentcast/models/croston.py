@@ -63,7 +63,6 @@ def croston_fit(y: np.ndarray, variant: str = "classic") -> CrostonState:
 
 class Croston(Forecaster):
     name = "croston"
-    supports_quantiles = False
     variant = "classic"
 
     def _forecast_series(self, y, m, h, levels):

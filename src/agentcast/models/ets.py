@@ -22,13 +22,12 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..features import decompose
-from .base import Forecaster
+from .base import SIGMA2_FLOOR, Forecaster, _aicc
 
 TRENDS = ("N", "A", "Ad")
 SEASONS = ("N", "A")
 PHI_BOUNDS = (0.8, 0.98)
 ALPHA_BOUNDS = (0.01, 0.99)
-SIGMA2_FLOOR = 1e-10
 N_SIM_PATHS = 1000
 SIM_SEED = 12345
 MIN_OBS = 10
@@ -213,14 +212,6 @@ def _moves(trend, season, best):
             if trial != best and trial not in trials:
                 trials.append(trial)
     return trials
-
-
-def _aicc(sse: float, n: int, k: int) -> float:
-    if not np.isfinite(sse) or n - k - 1 <= 0:
-        return np.inf
-    sigma2 = max(sse / n, SIGMA2_FLOOR)
-    loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    return -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
 
 
 def _param_count(trend: str, season: str, m: int) -> int:

@@ -232,28 +232,6 @@ class SeriesPanel:
     def items(self) -> Iterator[tuple[str, Series]]:
         return iter(self._series.items())
 
-    def head(self, counts: int | Mapping[str, int]) -> "SeriesPanel":
-        """Panel truncated to the first ``counts`` observations per series.
-
-        Skips ``__init__``'s checks, which are redundant here: a prefix of a
-        finite, strictly increasing series on a regular grid is itself
-        finite, strictly increasing and on that grid.  This holds for
-        month-based grids with clamped days too.  The full series has days
-        min(A, month length) with A its largest day.  If the prefix's
-        largest day D is below A, every prefix day is already clamped to
-        its month's end, so min(D, month length) reproduces each of them.
-        """
-        panel = SeriesPanel.__new__(SeriesPanel)
-        panel._series, panel._freq = {}, self._freq
-        for key, s in self._series.items():
-            k = counts if isinstance(counts, int) else counts[key]
-            if not 1 <= k <= len(s):
-                raise SeriesTooShortError(
-                    f"series {key!r}: cannot keep {k} of {len(s)} observations"
-                )
-            panel._series[key] = Series(s.timestamps[:k], s.values[:k])
-        return panel
-
     def equals(self, other: "SeriesPanel") -> bool:
         if self.keys() != other.keys():
             return False
@@ -527,14 +505,20 @@ class ForecastFrame:
 
 
 def frames_to_csv(frames: Sequence[ForecastFrame]) -> str:
-    """Concatenate forecast frames into one CSV document."""
+    """Concatenate forecast frames into one CSV document.
+
+    The header comes from the first frame with levels; a quantile-free
+    frame's rows hold ``nan`` quantile cells.  Frames whose level sets
+    differ are a ValueError.
+    """
     if not frames:
         return ""
-    header = frames[0].csv_header()
-    for f in frames[1:]:
-        if f.csv_header() != header:
-            raise ValueError("frames disagree on quantile levels")
+    first = next((f for f in frames if f.levels is not None), frames[0])
+    header, pad = first.csv_header(), ",nan" * len(first.levels or ())
     lines = [header]
     for f in frames:
-        lines.extend(f.to_csv_rows())
+        if f.levels is not None and f.csv_header() != header:
+            raise ValueError("frames disagree on quantile levels")
+        rows = f.to_csv_rows()
+        lines.extend(rows if f.levels is not None else (row + pad for row in rows))
     return "\n".join(lines) + "\n"

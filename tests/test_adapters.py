@@ -96,6 +96,8 @@ class TestParseModelAlias:
     def test_nested_ensemble_rejected(self):
         with pytest.raises(ConfigError):
             parse_model_alias("median_ensemble:naive+median_ensemble:theta+ses")
+        with pytest.raises(ConfigError, match="nested"):
+            EnsembleForecaster([get_model("naive"), EnsembleForecaster([get_model("ses")])])
 
     @pytest.mark.parametrize(
         "field, value",

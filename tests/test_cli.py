@@ -29,6 +29,19 @@ class TestForecastCommand:
         assert sum(1 for l in lines if ",seasonalnaive," in l) == 12
         assert sum(1 for l in lines if ",theta," in l) == 12
 
+    @pytest.mark.parametrize("models", ["naive,croston", "croston,naive"])
+    def test_quantile_free_model_gets_nan_quantile_cells(self, capsys, air_csv, models):
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", air_csv, "--models", models, "--h", "2"
+        )
+        assert code == 0, err
+        lines = [line.split(",") for line in out.splitlines()]
+        assert lines[0][:5] == ["unique_id", "ds", "model", "mean", "q10"]
+        assert len(lines) == 5 and all(len(cells) == len(lines[0]) for cells in lines)
+        for cells in lines[1:]:
+            nan_cells = [c == "nan" for c in cells[4:]]
+            assert all(nan_cells) if cells[2] == "croston" else not any(nan_cells)
+
     def test_levels_none_drops_quantile_columns(self, capsys, air_csv):
         code, out, _ = run_cli(
             capsys, "forecast", "--input", air_csv, "--models", "naive",

@@ -253,7 +253,12 @@ def test_cold_import_leaves_modules_unloaded(module, unloaded):
         f"print([m for m in {unloaded!r} if m in sys.modules])\n"
         "from agentcast.datasets import load_air_passengers\n"
         "from agentcast.models import get_model\n"
-        "entry = get_model('autoarima').forecast(load_air_passengers().head(36), 3)\n"
+        "from agentcast.panel import Series, SeriesPanel\n"
+        "air = load_air_passengers()\n"
+        "s = air['AirPassengers']\n"
+        "prefix = Series(s.timestamps[:36], s.values[:36])\n"
+        "prefix = SeriesPanel({'AirPassengers': prefix}, air.freq)\n"
+        "entry = get_model('autoarima').forecast(prefix, 3)\n"
         "print(entry['AirPassengers'].fallback, entry['AirPassengers'].quantiles.shape)\n"
     )
     result = subprocess.run(

@@ -208,6 +208,19 @@ class TestCrossValidate:
         assert all(r.failed and np.isnan(r.yhat) for r in first)
         assert all(not r.failed and np.isfinite(r.yhat) for r in second)
 
+    def test_model_failing_every_fold_has_no_quantile_array(self):
+        # seasonalnaive fails the only fold, which trains on less than a season
+        panel = make_panel({"s": [float(v % 12 + 1) for v in range(20)]})
+        cv = cross_validate(panel, ["seasonalnaive", "naive"], 12)
+        assert cv.failed[0].all() and not cv.failed[1].any()
+        assert cv.quantiles[0] is None and cv.quantiles[1] is not None
+        rows = [line.split(",") for line in cv.to_csv().splitlines()[1:]]
+        failed = [row for row in rows if row[2] == "seasonalnaive"]
+        assert len(failed) == 12
+        assert all(row[7:] == ["nan"] * len(DEFAULT_LEVELS) + ["true"] for row in failed)
+        board = aggregate_leaderboard(cv, panel)
+        assert board["seasonalnaive"].crps is None and board["naive"].crps is not None
+
     def test_non_finite_forecast_fails_the_fold(self):
         # naive's quantiles overflow to -inf on this finite series; croston
         # emits no quantiles and stays finite
@@ -475,18 +488,31 @@ class TestEnsembleReuse:
         cross_validate(panel, [ensemble, listed, "naive"], 4, n_windows=3)
         assert inner.threads == [] and len(listed.threads) == 6
         cross_validate(panel, [ensemble, "naive"], 4, n_windows=3)
-        assert len(inner.threads) == 6  # not listed: the member runs its own step
+        assert len(inner.threads) == 6  # not listed: fitted once per fold all the same
 
     def test_remote_member_sends_one_request_per_fold(self):
+        # listed next to its ensemble, or only inside it
         panel = make_panel({"a": [float(v % 5) for v in range(30)], "b": [2.0] * 30})
-        server = serve_stub(alias="seasonalnaive")
-        try:
-            remote = f"adapter:{server.url}"
-            models = ["naive", remote, f"median_ensemble:naive+{remote}"]
-            cv = cross_validate(panel, models, 4, n_windows=3, n_jobs=2)
-            assert server.request_count == 2 * 6
-        finally:
-            server.close()
+        for listed in (True, False):
+            server = serve_stub(alias="seasonalnaive")
+            try:
+                remote = f"adapter:{server.url}"
+                ensemble = f"median_ensemble:naive+{remote}"
+                models = ["naive", remote, ensemble] if listed else [ensemble]
+                cv = cross_validate(panel, models, 4, n_windows=3, n_jobs=2)
+                assert server.request_count == 6
+            finally:
+                server.close()
+            assert not cv.failed.any()
+
+    def test_only_remote_member_folds_use_the_pool(self):
+        panel = make_panel({"a": [float(v % 5) for v in range(30)], "b": [2.0] * 30})
+        local, remote = ThreadRecorder(), NetworkThreadRecorder()
+        cv = cross_validate(panel, [EnsembleForecaster([local, remote])], 4, n_windows=3,
+                            n_jobs=2)
+        assert local.threads == [threading.get_ident()] * 6
+        assert len(remote.threads) == 6 and threading.get_ident() not in remote.threads
+        assert cv.model_names == ("median_ensemble[recorder+recorder]",)
         assert not cv.failed.any()
 
 
@@ -728,10 +754,17 @@ class TestFoldPath:
         for model in models[-2:]:
             assert all(entry.fallback for _, entry in model.forecast(panel, h).items())
 
-        # No member forecasts quantiles, so default levels fail every fold.
+        # No member forecasts quantiles, so default levels fail every fold,
+        # whether the members are listed or not.
         ensemble = resolve_model("median_ensemble:croston+adida")
         cv = cross_validate(panel, [ensemble], h, n_windows=n_windows, step=step)
         assert cv.failed.all() and cv.quantiles == (None,)
+        cv = cross_validate(panel, ["croston", ensemble, "adida"], h, n_windows=n_windows,
+                            step=step)
+        assert cv.failed[1].all() and not cv.failed[[0, 2]].any()
+        assert cv.quantiles == (None, None, None)
+        with pytest.raises(ConfigError):
+            ensemble.forecast(panel, h)
         for key in panel.keys():
             for cutoff in rolling_cutoffs(len(panel[key]), h, n_windows, step).cutoffs:
                 with pytest.raises(ConfigError):
@@ -749,9 +782,9 @@ class TestFoldPath:
             (Series(yearly, np.arange(10.0)), Frequency("Y")),
         ]
         for series, freq in cases:
-            panel = SeriesPanel({"s": series}, freq)
+            SeriesPanel({"s": series}, freq)  # the full series is on the grid
             for k in range(1, len(series) + 1):
-                prefix = panel.head(k)["s"]
+                prefix = Series(series.timestamps[:k], series.values[:k])  # a fold's prefix
                 assert prefix.timestamps == series.timestamps[:k]
                 assert _matches_grid(prefix.timestamps, freq)
                 SeriesPanel({"s": prefix}, freq)  # full validation accepts it

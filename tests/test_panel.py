@@ -15,10 +15,12 @@ from agentcast.errors import (
     SchemaError,
     SeriesTooShortError,
 )
+from agentcast.models import get_model
 from agentcast.panel import (
     Frequency,
     Series,
     SeriesPanel,
+    frames_to_csv,
     future_grid,
     infer_frequency,
     parse_panel,
@@ -329,6 +331,18 @@ class TestCsvRoundTrip:
     @given(csv_panels())
     def test_to_csv_then_parse_is_equal(self, panel):
         assert panel.equals(parse_panel(io.StringIO(panel.to_csv())))
+
+
+class TestFramesToCsv:
+    def test_level_sets_must_agree_across_quantile_free_frames(self):
+        panel = make_panel({"s": [1.0, 2.0, 3.0, 4.0]})
+        a = get_model("naive").forecast(panel, 2, (0.1, 0.9))
+        b = get_model("ses").forecast(panel, 2, (0.2, 0.8))
+        croston = get_model("croston").forecast(panel, 2, (0.1, 0.9))
+        assert croston.levels is None
+        assert frames_to_csv([croston, a]).splitlines()[0] == a.csv_header()
+        with pytest.raises(ValueError, match="disagree on quantile levels"):
+            frames_to_csv([a, croston, b])
 
 
 class TestSeriesPanelValues:
