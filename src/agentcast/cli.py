@@ -212,9 +212,7 @@ def build_parser() -> _Parser:
         p.add_argument("--models", required=True, help="comma list of model specs")
         p.add_argument("--h", type=int, required=True, help="forecast horizon")
         _add_cv_flags(p)
-        p.add_argument(
-            "--jobs", type=int, default=1, help="requests in flight to adapter: models in CV"
-        )
+        p.add_argument("--jobs", type=int, default=1, help="concurrent requests of adapter: models")
         p.set_defaults(func=func)
 
     p = commands.add_parser("agent", help="run the full agent pipeline")

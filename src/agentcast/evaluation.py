@@ -279,12 +279,10 @@ def cross_validate(
         """One fold's (mean, quantiles, fallback), or None on a forecasting failure."""
         mi, si, fi = fold
         s, cutoff = series[si], plans[si].cutoffs[fi]
-        # A prefix of a validated series needs no validation: it is finite,
-        # strictly increasing and on the grid, clamped month ends included.
-        # The full series has days min(A, month length) with A its largest
-        # day.  If the prefix's largest day D is below A, every prefix day
-        # is already clamped to its month's end, so min(D, month length)
-        # reproduces each of them.
+        # A validated series' prefix needs no validation, on month-end grids
+        # too: the series has days min(A, month length), A its largest day;
+        # if the prefix's largest day D < A, every prefix day is already its
+        # month's end, so min(D, month length) reproduces each of them.
         train = Series(s.timestamps[:cutoff], s.values[:cutoff])
         try:
             return forecasters[mi]._forecast_values(keys[si], train, panel.freq, h, levels)
@@ -292,8 +290,7 @@ def cross_validate(
             return None
 
     def combine(fold):
-        """An ensemble fold from its members' stored folds; a fold that any
-        member failed fails, as the member's own raise would."""
+        """An ensemble fold from its members' stored folds; failed if one of them failed."""
         mi, si, fi = fold
         if failed[members[mi], si, fi].any():
             return None
@@ -309,9 +306,8 @@ def cross_validate(
     # the chain is lazy, so ensemble folds combine after every member fold.
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         replies = pool.map(fit, remote)
-        results = chain(
-            zip(local, map(fit, local)), zip(remote, replies), zip(combined, map(combine, combined))
-        )
+        results = chain(zip(local, map(fit, local)), zip(remote, replies),
+                        zip(combined, map(combine, combined)))
         for (mi, si, fi), result in results:
             if result is None:
                 failed[mi, si, fi] = True

@@ -1,17 +1,16 @@
 """Forecaster contract shared by every model kind.
 
 Each forecaster has one per-series step, ``_forecast_values``, giving the
-``h`` point forecasts, the h x L quantile matrix (None when no levels
-were requested or the model forecasts no quantiles) and whether the
-naive fallback was used.  The builtin step runs ``_forecast_series`` on
-the values, counts a non-finite mean or quantile as a forecasting
-failure and applies the auto models' naive fallback; adapter and
-ensemble forecasters override only the step.  ``forecast`` is the one
-panel loop: it validates ``h`` and the levels, runs the step per series
-and attaches the future timestamps; its frame has no levels when a step
-returned no quantiles.  Cross-validation folds call the step directly on
-a training prefix, with no frame and no timestamps; an ensemble's folds
-combine its members' folds instead.
+``h`` point forecasts, the h x L quantile matrix (None when quantile-free
+or no levels were requested) and whether the naive fallback was used.
+The builtin step runs ``_forecast_series`` on the values, counts a
+non-finite mean or quantile as a forecasting failure and applies the auto
+models' naive fallback; adapter and ensemble forecasters override only
+the step.  ``forecast`` is the one panel loop: it validates ``h`` and the
+levels, runs the step per series and attaches the future timestamps; its
+frame has no levels when a step returned no quantiles.  Cross-validation
+folds call the step directly on a training prefix, with no frame and no
+timestamps; an ensemble's folds combine its members' folds instead.
 """
 
 from __future__ import annotations

@@ -505,12 +505,8 @@ class ForecastFrame:
 
 
 def frames_to_csv(frames: Sequence[ForecastFrame]) -> str:
-    """Concatenate forecast frames into one CSV document.
-
-    The header comes from the first frame with levels; a quantile-free
-    frame's rows hold ``nan`` quantile cells.  Frames whose level sets
-    differ are a ValueError.
-    """
+    """Concatenate forecast frames into one CSV document.  A quantile-free
+    frame's rows hold ``nan`` under the other frames' levels, which must agree."""
     if not frames:
         return ""
     first = next((f for f in frames if f.levels is not None), frames[0])

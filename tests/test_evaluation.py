@@ -458,8 +458,8 @@ MEMBERS = ["naive", "seasonalnaive", "historicaverage"]
 
 
 class TestEnsembleReuse:
-    """A local ensemble whose members are all listed combines their fold
-    results instead of refitting them, with the same bytes."""
+    """Every ensemble combines its members' fold results, each member
+    fitted once per fold whether listed or not, with the same bytes."""
 
     @pytest.mark.parametrize("models", [
         MEMBERS + [ENSEMBLE], [ENSEMBLE] + MEMBERS, ["naive", ENSEMBLE, "croston"],
