@@ -33,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, check_policy, post_json
-from .errors import ConfigError, ProtocolError, UnknownModelError
+from .errors import ConfigError, ProtocolError
 from .ensemble import _median_values, _monotone_rows
-from .models import MODEL_REGISTRY, Forecaster, get_model
+from .models import Forecaster, get_model
 from .panel import (
     DEFAULT_LEVELS,
     ForecastFrame,
@@ -88,16 +88,14 @@ def parse_model_alias(spec: str, **adapter_overrides) -> ModelSpec:
                 raise ConfigError("nested ensembles are not supported")
             members.append(parse_model_alias(name, **adapter_overrides))
         return ModelSpec(alias=spec, kind="ensemble", members=tuple(members))
-    if spec not in MODEL_REGISTRY:
-        known = ", ".join(MODEL_REGISTRY)
-        raise UnknownModelError(f"unknown model {spec!r} (known: {known})")
+    get_model(spec)  # an unknown alias is an UnknownModelError
     return ModelSpec(alias=spec, kind="builtin")
 
 
-def resolve_model(spec: ModelSpec | str, **adapter_overrides):
+def resolve_model(spec: ModelSpec | str):
     """Turn a spec (or spec string) into a ready forecaster object."""
     if isinstance(spec, str):
-        spec = parse_model_alias(spec, **adapter_overrides)
+        spec = parse_model_alias(spec)
     elif not isinstance(spec, ModelSpec):
         raise ConfigError(f"a model is given by a spec string, not a {type(spec).__name__}")
     if spec.kind == "builtin":
@@ -105,6 +103,17 @@ def resolve_model(spec: ModelSpec | str, **adapter_overrides):
     if spec.kind == "adapter":
         return RemoteForecaster(spec)
     return EnsembleForecaster([resolve_model(m) for m in spec.members])
+
+
+def resolve_models(models) -> list[Forecaster]:
+    """One forecaster per spec, spec string or ``Forecaster`` instance; a
+    ConfigError if two of them share a name."""
+    forecasters = [m if isinstance(m, Forecaster) else resolve_model(m) for m in models]
+    names = [f.name for f in forecasters]
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise ConfigError(f"duplicate model name(s) in list: {', '.join(dupes)}")
+    return forecasters
 
 
 def _round12(x: float) -> float:
@@ -346,9 +355,7 @@ class StubServer:
 
 def serve_stub(host: str = "127.0.0.1", port: int = 0, alias: str = "seasonalnaive") -> StubServer:
     """Start a threaded stub mirroring a builtin model; port 0 picks a free one."""
-    if alias not in MODEL_REGISTRY:
-        known = ", ".join(MODEL_REGISTRY)
-        raise UnknownModelError(f"unknown model {alias!r} (known: {known})")
+    get_model(alias)  # an unknown alias is an UnknownModelError before the port opens
     state = _StubState(alias)
     handler = type("BoundStubHandler", (_StubHandler,), {"state": state})
     server = _QuietServer((host, port), handler)

@@ -182,29 +182,32 @@ def _profile_text(profile: FeatureProfile) -> str:
     )
 
 
-def _llm_candidates(profile, registry, budget, llm_config, transport):
-    """Validated LLM shortlist, or None when the reply is unusable."""
-    exchange = ChatExchange(
-        messages=(
-            ChatMessage(
-                "system",
-                "You shortlist univariate forecasting models. Call the "
-                "propose_models tool with aliases from the allowed list only, "
-                "starting from simple statistical baselines.",
-            ),
-            ChatMessage(
-                "user",
-                f"Series diagnostics: {_profile_text(profile)}. "
-                f"Allowed aliases: {', '.join(sorted(registry))}.",
-            ),
-        ),
-        tools=(_propose_tool(registry, budget),),
-    )
+def _ask(llm_config, transport, system, user, tools=()):
+    """The reply to one system + user exchange: a ToolCall when ``tools``
+    are offered, else the stripped text; None (the caller falls back to its
+    deterministic result) for any other reply, empty text or a ProtocolError."""
+    exchange = ChatExchange((ChatMessage("system", system), ChatMessage("user", user)), tools)
     try:
         reply = llm_chat(llm_config, exchange, transport)
     except ProtocolError:
         return None
-    if not isinstance(reply, ToolCall) or reply.name != "propose_models":
+    if tools:
+        return reply if isinstance(reply, ToolCall) else None
+    return (reply.strip() or None) if isinstance(reply, str) else None
+
+
+def _llm_candidates(profile, registry, budget, llm_config, transport):
+    """Validated LLM shortlist, or None when the reply is unusable."""
+    reply = _ask(
+        llm_config, transport,
+        "You shortlist univariate forecasting models. Call the "
+        "propose_models tool with aliases from the allowed list only, "
+        "starting from simple statistical baselines.",
+        f"Series diagnostics: {_profile_text(profile)}. "
+        f"Allowed aliases: {', '.join(sorted(registry))}.",
+        tools=(_propose_tool(registry, budget),),
+    )
+    if reply is None or reply.name != "propose_models":
         return None
     raw = reply.arguments.get("candidates")
     if not isinstance(raw, list):
@@ -356,30 +359,14 @@ def _default_summary(frame: ForecastFrame) -> str:
     return text
 
 
-def _llm_text(llm_config, exchange, transport):
-    """The reply's text; None (use the deterministic text) if empty or malformed."""
-    try:
-        reply = llm_chat(llm_config, exchange, transport)
-    except ProtocolError:
-        return None
-    if isinstance(reply, str) and reply.strip():
-        return reply.strip()
-    return None
-
-
 def _llm_answer(query, frame, llm_config, transport):
     table = [frame.csv_header()] + frame.to_csv_rows()
-    exchange = ChatExchange(
-        messages=(
-            ChatMessage(
-                "system",
-                "Answer the user's question about the forecast table. Cite "
-                "only numbers present in the table; do not invent values.",
-            ),
-            ChatMessage("user", "Forecast table:\n" + "\n".join(table) + f"\n\nQuestion: {query}"),
-        ),
+    return _ask(
+        llm_config, transport,
+        "Answer the user's question about the forecast table. Cite "
+        "only numbers present in the table; do not invent values.",
+        "Forecast table:\n" + "\n".join(table) + f"\n\nQuestion: {query}",
     )
-    return _llm_text(llm_config, exchange, transport)
 
 
 def answer_query(
@@ -470,17 +457,12 @@ def _llm_explanation(profile, leaderboard, frame, h, llm_config, transport):
         ],
         "interval_width_80pct": _interval_width(frame),
     }
-    exchange = ChatExchange(
-        messages=(
-            ChatMessage(
-                "system",
-                "Write a short forecast explanation. Use only the numbers in "
-                "the context block; never invent or recompute values.",
-            ),
-            ChatMessage("user", json.dumps(context, indent=2)),
-        ),
+    return _ask(
+        llm_config, transport,
+        "Write a short forecast explanation. Use only the numbers in "
+        "the context block; never invent or recompute values.",
+        json.dumps(context, indent=2),
     )
-    return _llm_text(llm_config, exchange, transport)
 
 
 def run_agent(
@@ -501,6 +483,8 @@ def run_agent(
     config = config or AgentConfig()
     if config.mode == "llm" and llm_config is None:
         raise ConfigError("llm mode requires an LLM configuration")
+    if config.mode != "llm":
+        llm_config = None  # deterministic mode never calls the model
     if len(panel) == 0:
         raise ConfigError("cannot run the agent on an empty panel")
 
@@ -558,18 +542,11 @@ def run_agent(
         f"quantiles {'monotonized' if monotone else 'absent'}"
     )
 
-    if config.mode == "llm":
-        explanation = _llm_explanation(
-            profile, leaderboard, frame, h, llm_config, transport
-        ) or _deterministic_explanation(
-            profile, leaderboard, frame, h, config, len(features)
-        )
-        response = answer_query(query, frame, llm_config, transport)
-    else:
-        explanation = _deterministic_explanation(
-            profile, leaderboard, frame, h, config, len(features)
-        )
-        response = answer_query(query, frame)
+    explanation = (
+        llm_config is not None
+        and _llm_explanation(profile, leaderboard, frame, h, llm_config, transport)
+    ) or _deterministic_explanation(profile, leaderboard, frame, h, config, len(features))
+    response = answer_query(query, frame, llm_config, transport)
     trace.append(f"answer: {'query answered' if query else 'default summary'}")
 
     return AgentResult(

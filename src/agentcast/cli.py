@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adapters import resolve_model, serve_stub
+from .adapters import resolve_models, serve_stub
 from .agent import AgentConfig, run_agent
 from .errors import AgentcastError
 from .evaluation import aggregate_leaderboard, cross_validate
@@ -82,11 +82,8 @@ def _cmd_features(args) -> int:
 
 def _cmd_forecast(args) -> int:
     panel = _load_panel(args)
-    frames = []
-    for spec in args.models.split(","):
-        forecaster = resolve_model(spec.strip())
-        frames.append(forecaster.forecast(panel, args.h, args.levels))
-    _emit(frames_to_csv(frames), args.output)
+    forecasters = resolve_models([spec.strip() for spec in args.models.split(",")])
+    _emit(frames_to_csv([f.forecast(panel, args.h, args.levels) for f in forecasters]), args.output)
     return 0
 
 

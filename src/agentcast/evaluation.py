@@ -22,9 +22,8 @@ from itertools import chain, product
 
 import numpy as np
 
-from .adapters import EnsembleForecaster, resolve_model
+from .adapters import EnsembleForecaster, resolve_models
 from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
-from .models import Forecaster
 from .panel import (
     DEFAULT_LEVELS,
     Series,
@@ -229,11 +228,8 @@ def cross_validate(
     if levels is not None:
         levels = validate_levels(levels)
 
-    forecasters = [m if isinstance(m, Forecaster) else resolve_model(m) for m in models]
+    forecasters = resolve_models(models)
     names = [f.name for f in forecasters]
-    if len(set(names)) != len(names):
-        dupes = sorted({x for x in names if names.count(x) > 1})
-        raise ConfigError(f"duplicate model name(s) in list: {', '.join(dupes)}")
 
     # An ensemble member is matched to a listed model by class and name; an
     # unlisted one becomes an extra model after the listed ones, whose
@@ -355,8 +351,13 @@ def pinball(actual, predicted, level: float):
     if not 0.0 < level < 1.0:
         raise ValueError(f"quantile level {level} outside open interval (0, 1)")
     diff = np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float)
-    loss = np.where(diff >= 0.0, level * diff, (level - 1.0) * diff)
+    loss = _pinball_losses(diff, level)
     return float(loss) if loss.ndim == 0 else loss
+
+
+def _pinball_losses(diff, taus):
+    """Pinball losses of errors ``diff`` = actual - quantile at levels ``taus``."""
+    return np.where(diff >= 0.0, taus * diff, (taus - 1.0) * diff)
 
 
 def _check_quantile_block(actuals, quantiles, levels):
@@ -378,9 +379,7 @@ def crps_approx(actuals, quantiles, levels) -> float:
     """
     levels = validate_levels(levels)
     y, q = _check_quantile_block(actuals, quantiles, levels)
-    taus = np.asarray(levels, dtype=float)
-    diff = y[:, None] - q
-    losses = np.where(diff >= 0.0, taus[None, :] * diff, (taus[None, :] - 1.0) * diff)
+    losses = _pinball_losses(y[:, None] - q, np.asarray(levels, dtype=float))
     per_obs = (2.0 / len(levels)) * losses.sum(axis=1)
     return float(per_obs.mean())
 
@@ -493,9 +492,7 @@ def _score_model(cv, model_index, scales):
     series_mase = [float(np.mean(fold_mase[si, scored[si]])) for si in rows if scored[si].any()]
     normalized, pinball_by_level, coverage_value = [], {}, None
     if has_quantiles:
-        taus = np.asarray(levels, dtype=float)
-        diff = cv.y[..., None] - q
-        losses = np.where(diff >= 0.0, taus * diff, (taus - 1.0) * diff)
+        losses = _pinball_losses(cv.y[..., None] - q, np.asarray(levels, dtype=float))
         crps, abs_y = (2.0 / len(levels)) * losses.sum(axis=-1), np.abs(cv.y)
         for si in rows:
             normalizer = float(np.mean(abs_y[si, ok[si]]))

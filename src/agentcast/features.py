@@ -50,12 +50,26 @@ def _centered_moving_average(y: np.ndarray, window: int) -> tuple[np.ndarray, in
     return ma, start
 
 
+def phase_means(x: np.ndarray, start: int, m: int) -> np.ndarray:
+    """Mean of ``x`` at each of the ``m`` seasonal phases, where ``x[i]``
+    sits at phase ``(start + i) % m``; 0 for a phase ``x`` never reaches."""
+    phases = np.arange(start, start + len(x)) % m
+    means = np.zeros(m)
+    for phase in range(m):
+        hits = x[phases == phase]
+        if hits.size:
+            means[phase] = hits.mean()
+    return means
+
+
 def decompose(values: Sequence[float], m: int) -> DecompositionResult:
     """Classical additive decomposition y = T + S + R.
 
     Trend edges (where the centered average is undefined) are filled with
     the nearest defined trend value, so T, S and R cover every index and
-    T + S + R reconstructs the input exactly.
+    T + S + R reconstructs the input exactly.  With m > 1 the seasonal
+    indices are the ``phase_means`` of y - T over ``[m // 2, n - m // 2)``,
+    where the centered average is defined, centred to sum to zero.
     """
     y = np.asarray(values, dtype=float)
     n = len(y)
@@ -80,13 +94,7 @@ def decompose(values: Sequence[float], m: int) -> DecompositionResult:
     trend[start + len(interior) :] = interior[-1]
 
     if m > 1:
-        detrended = y[start : start + len(interior)] - interior
-        phases = (np.arange(start, start + len(interior))) % m
-        indices = np.zeros(m)
-        for phase in range(m):
-            hits = detrended[phases == phase]
-            if hits.size:
-                indices[phase] = hits.mean()
+        indices = phase_means(y[start : start + len(interior)] - interior, start, m)
         indices -= indices.mean()  # one full period sums to zero
         seasonal = indices[np.arange(n) % m]
     else:

@@ -63,13 +63,13 @@ class SESState:
     residual_sd: float
 
 
-def ses_fit(y: np.ndarray, alpha: float | None = None) -> tuple[SESState, np.ndarray]:
+def ses_fit(y: np.ndarray, alpha: float | None = None) -> SESState:
     """Simple exponential smoothing; level starts at the first observation.
 
     When ``alpha`` is None it is chosen from the grid 0.01..0.99 by
     in-sample one-step squared error, the grid in one batch run of
-    ``ets._smooth``.  Returns the state and the fitted one-step forecasts
-    (fitted[t] predicts y[t]; fitted[0] = y[0]).
+    ``ets._smooth``.  ``residual_sd`` is the standard deviation of the
+    one-step errors of y[1:] (0 for a single observation).
     """
     if len(y) == 0:
         raise InsufficientDataError("SES needs at least 1 observation")
@@ -82,10 +82,8 @@ def ses_fit(y: np.ndarray, alpha: float | None = None) -> tuple[SESState, np.nda
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
     _, level, _, _, forecasts = _smooth(y[1:], *init, alpha, 0.0, 0.0, 0.0)
-    fitted = np.array([init[0], *forecasts])
-    residuals = y[1:] - fitted[1:]
-    sd = float(residuals.std()) if len(residuals) else 0.0
-    return SESState(float(alpha), float(level), sd), fitted
+    sd = float((y[1:] - np.array(forecasts)).std()) if len(y) > 1 else 0.0
+    return SESState(float(alpha), float(level), sd)
 
 
 class SES(Forecaster):
@@ -94,7 +92,7 @@ class SES(Forecaster):
     name = "ses"
 
     def _forecast_series(self, y, m, h, levels):
-        state, _ = ses_fit(y)
+        state = ses_fit(y)
         mean = np.full(h, state.level)
         if levels is None:
             return mean, None

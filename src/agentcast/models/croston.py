@@ -49,15 +49,15 @@ def croston_fit(y: np.ndarray, variant: str = "classic") -> CrostonState:
     if sizes.size == 0:
         return CrostonState(None, None, variant, 0.0)
     if variant == "classic":
-        size_state, _ = ses_fit(sizes, CROSTON_ALPHA)
-        interval_state, _ = ses_fit(intervals, CROSTON_ALPHA)
+        size_state = ses_fit(sizes, CROSTON_ALPHA)
+        interval_state = ses_fit(intervals, CROSTON_ALPHA)
         rate = size_state.level / interval_state.level
         return CrostonState(size_state, interval_state, variant, rate)
     # ADIDA: end-aligned buckets so the most recent data is never dropped
     w = max(1, int(floor(intervals.mean() + 0.5)))
     usable = (len(y) // w) * w
     buckets = y[len(y) - usable :].reshape(-1, w).sum(axis=1)
-    bucket_state, _ = ses_fit(buckets, CROSTON_ALPHA)
+    bucket_state = ses_fit(buckets, CROSTON_ALPHA)
     return CrostonState(bucket_state, None, variant, bucket_state.level / w)
 
 

@@ -121,24 +121,23 @@ class ETSFit:
         return np.quantile(paths, levels, axis=0).T
 
 
-def _initial_states(y, m, trend, season):
-    """Heuristic starting states: first-period level, period-mean slope
-    (0 without a trend), decomposition seasonal pattern."""
+def _initial_states(y, m, structures):
+    """Heuristic (level, slope, seasonal) starting states per (trend, season)
+    structure: first-period level, period-mean slope (0 without a trend),
+    and one decomposition's seasonal pattern for the seasonal ones."""
     n = len(y)
-    if season == "A":
-        s0 = decompose(y, m).seasonal[:m].tolist()
-        level = float(y[:m].mean())
-    else:
-        s0 = [0.0] * max(m, 1)
-        level = float(y[:m].mean()) if m > 1 else float(y[0])
-    if trend == "N":
-        slope = 0.0
-    elif m > 1 and n >= 2 * m:
+    seasonal = any(season == "A" for _, season in structures)
+    pattern = decompose(y, m).seasonal[:m].tolist() if seasonal else None
+    level = float(y[:m].mean()) if m > 1 else float(y[0])
+    if m > 1 and n >= 2 * m:
         period_means = y[: (n // m) * m].reshape(-1, m).mean(axis=1)
         slope = float(np.diff(period_means).mean() / m)
     else:
         slope = float(np.diff(y).mean()) if n >= 2 else 0.0
-    return level, slope, s0
+    return [
+        (level, 0.0 if trend == "N" else slope, pattern if season == "A" else [0.0] * max(m, 1))
+        for trend, season in structures
+    ]
 
 
 def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
@@ -230,7 +229,7 @@ def ets_fit(y: np.ndarray, m: int) -> ETSFit:
         )
     allow_seasonal = m > 1 and n >= 2 * m
     structures = [(t, s) for t in TRENDS for s in SEASONS if s == "N" or allow_seasonal]
-    inits = [_initial_states(y, m, t, s) for t, s in structures]
+    inits = _initial_states(y, m, structures)
     states = np.array([[level, slope, *s0] for level, slope, s0 in inits])
     # Pass 0 tries each coarse grid, every later pass the steepest-descent
     # moves around each structure's best; a structure stops at its first

@@ -5,8 +5,9 @@ theta(2) line, 2y minus that fit, carries the short-run dynamics and is
 forecast by SES (``ses_fit``: ETS(A,N,N) on the recursion AutoETS uses,
 level starting at the line's first value).  The point forecast averages
 the extrapolated line and the SES level.  Strongly seasonal positive
-series are multiplicatively deseasonalized first and the forecasts
-(point and quantiles) re-seasonalized.
+series are multiplicatively deseasonalized first, by per-phase means of
+the ratios to ``decompose``'s trend, and the forecasts (point and
+quantiles) re-seasonalized.
 """
 
 from __future__ import annotations
@@ -14,45 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InsufficientDataError
-from ..features import _centered_moving_average, decompose, seasonal_strength
+from ..features import decompose, phase_means, seasonal_strength
 from .base import Forecaster, gaussian_quantiles
 from .baselines import ses_fit
 
 SEASONAL_STRENGTH_GATE = 0.6
 
 
-def multiplicative_indices(y: np.ndarray, m: int) -> np.ndarray:
-    """Per-phase ratio-to-trend indices, normalized to mean 1.
-
-    Phase p is the index position t % m.  Requires a strictly positive
-    centered-moving-average trend; callers gate on positive data.
-    """
-    interior, start = _centered_moving_average(y, m)
-    if np.any(interior <= 0):
-        raise ValueError("trend must stay positive for multiplicative indices")
-    ratios = y[start : start + len(interior)] / interior
-    phases = np.arange(start, start + len(interior)) % m
-    indices = np.ones(m)
-    for phase in range(m):
-        hits = ratios[phases == phase]
-        if hits.size:
-            indices[phase] = hits.mean()
-    return indices / indices.mean()
-
-
 def _seasonal_path(y: np.ndarray, m: int) -> np.ndarray | None:
-    """Indices when the seasonal route applies, else None."""
+    """Per-phase means of y over ``decompose``'s trend, normalized to mean 1,
+    when the seasonal route applies (positive data and trend, two full
+    periods, seasonal strength at the gate), else None."""
     n = len(y)
-    if m <= 1 or n < 2 * m:
+    if m <= 1 or n < 2 * m or np.any(y <= 0):
         return None
-    if np.any(y <= 0):
+    d = decompose(y, m)
+    trend = d.trend[m // 2 : n - m // 2]
+    if seasonal_strength(d) < SEASONAL_STRENGTH_GATE or np.any(trend <= 0):
         return None
-    if seasonal_strength(decompose(y, m)) < SEASONAL_STRENGTH_GATE:
-        return None
-    try:
-        return multiplicative_indices(y, m)
-    except ValueError:
-        return None
+    indices = phase_means(y[m // 2 : n - m // 2] / trend, m // 2, m)
+    return indices / indices.mean()
 
 
 class Theta(Forecaster):
@@ -71,7 +53,7 @@ class Theta(Forecaster):
         slope, intercept = np.polyfit(t, work, 1)
         line = intercept + slope * t
         theta2 = 2.0 * work - line
-        state, _ = ses_fit(theta2)
+        state = ses_fit(theta2)
 
         k = np.arange(1, h + 1, dtype=float)
         mean = 0.5 * (intercept + slope * (n + k)) + 0.5 * state.level

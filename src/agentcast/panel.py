@@ -247,15 +247,9 @@ class SeriesPanel:
                 return False
         return True
 
-    def to_csv(
-        self,
-        path_or_buffer=None,
-        id_column: str = DEFAULT_ID_COLUMN,
-        time_column: str = DEFAULT_TIME_COLUMN,
-        value_column: str = DEFAULT_VALUE_COLUMN,
-    ):
+    def to_csv(self, path_or_buffer=None):
         """Write the panel in long format; values at full (repr) precision."""
-        rows = [f"{id_column},{time_column},{value_column}"]
+        rows = [f"{DEFAULT_ID_COLUMN},{DEFAULT_TIME_COLUMN},{DEFAULT_VALUE_COLUMN}"]
         for key, s in self._series.items():
             for ts, v in zip(s.timestamps, s.values):
                 rows.append(f"{key},{format_timestamp(ts)},{float(v)!r}")
@@ -493,12 +487,8 @@ class ForecastFrame:
                 rows.append(",".join(cells))
         return rows
 
-    def csv_header(
-        self,
-        id_column: str = DEFAULT_ID_COLUMN,
-        time_column: str = DEFAULT_TIME_COLUMN,
-    ) -> str:
-        cells = [id_column, time_column, "model", "mean"]
+    def csv_header(self) -> str:
+        cells = [DEFAULT_ID_COLUMN, DEFAULT_TIME_COLUMN, "model", "mean"]
         if self.levels is not None:
             cells.extend(level_column(l) for l in self.levels)
         return ",".join(cells)

@@ -109,7 +109,7 @@ class TestParseModelAlias:
     def test_bad_retry_policy_is_a_config_error(self, stub, field, value):
         before = stub.request_count
         with pytest.raises(ConfigError, match=field):
-            resolve_model(f"adapter:{stub.url}", **{field: value})
+            parse_model_alias(f"adapter:{stub.url}", **{field: value})
         assert stub.request_count == before
 
     def test_resolve_builds_the_right_objects(self, stub):

@@ -75,6 +75,16 @@ class TestForecastCommand:
         assert err.startswith("error: unknown-model: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["forecast", "crossval"])
+    def test_duplicate_model_is_a_config_error(self, capsys, air_csv, command):
+        code, out, err = run_cli(
+            capsys, command, "--input", air_csv, "--models", "naive,theta,naive", "--h", "2",
+            "--levels", "none",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: config: duplicate model name(s) in list: naive\n"
+
     def test_non_finite_input_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -13,6 +13,7 @@ from agentcast.errors import (
     SeriesTooShortError,
     UnknownModelError,
 )
+from agentcast.features import decompose
 from agentcast.models import (
     Forecaster,
     MODEL_REGISTRY,
@@ -141,24 +142,25 @@ class TestHistoricAverage:
 
 class TestSES:
     def test_alpha_one_tracks_last_value(self):
-        state, _ = ses_fit(np.array([3.0, 9.0, 4.0]), alpha=1.0)
+        state = ses_fit(np.array([3.0, 9.0, 4.0]), alpha=1.0)
         assert state.level == 4.0
 
     def test_half_alpha_hand_recursion(self):
-        state, _ = ses_fit(np.array([2.0, 4.0]), alpha=0.5)
+        state = ses_fit(np.array([2.0, 4.0]), alpha=0.5)
         assert state.level == 3.0
 
     def test_constant_series(self):
-        state, _ = ses_fit(np.full(10, 6.0), alpha=0.3)
+        state = ses_fit(np.full(10, 6.0), alpha=0.3)
         assert state.level == pytest.approx(6.0, abs=1e-12)
 
     def test_level_initialized_to_first_observation(self):
-        _, fitted = ses_fit(np.array([8.0, 1.0, 1.0]), alpha=0.5)
-        assert fitted[0] == 8.0
-        assert fitted[1] == 8.0
+        # from 8 the level steps to 8 - 0.5 * 7 = 4.5; the one-step errors
+        # -7 and -3.5 have standard deviation 1.75
+        assert ses_fit(np.array([8.0, 1.0]), 0.5).level == 4.5
+        assert ses_fit(np.array([8.0, 1.0, 1.0]), 0.5).residual_sd == 1.75
 
     def test_grid_picks_high_alpha_on_trending_series(self):
-        state, _ = ses_fit(np.arange(1.0, 40.0))
+        state = ses_fit(np.arange(1.0, 40.0))
         assert state.alpha > 0.8
 
     def test_empty_series_rejected(self):
@@ -175,13 +177,20 @@ class TestSES:
         assert entry.mean[0] == entry.mean[1] == entry.mean[2]
 
 
-def plain_ses_sse(y, alpha):
-    """Reference SES one-step SSE: level starts at y[0], plain loop."""
-    level, sse = y[0], 0.0
+def plain_ses_errors(y, alpha):
+    """Reference SES one-step errors of y[1:]: level starts at y[0], plain loop."""
+    level, errors = y[0], []
     for obs in y[1:]:
         e = obs - level
-        sse += e * e
+        errors.append(e)
         level += alpha * e
+    return errors
+
+
+def plain_ses_sse(y, alpha):
+    sse = 0.0
+    for e in plain_ses_errors(y, alpha):
+        sse += e * e
     return sse
 
 
@@ -285,13 +294,14 @@ class TestSmoothRecursion:
         y = np.array(values)
         grid = np.arange(1, 100) / 100.0
         expected = grid[int(np.argmin([plain_ses_sse(y, a) for a in grid]))]
-        state, fitted = ses_fit(y)
+        state = ses_fit(y)
         assert state.alpha == expected
         # The level update moved from alpha*y + (1-alpha)*level to the
         # error-correction form; both agree up to float64 rounding.
         tol = 256 * np.finfo(float).eps * max(1.0, np.abs(y).max())
         assert abs(state.level - plain_ses_level(y, state.alpha)) <= tol
-        assert fitted[0] == y[0] and len(fitted) == len(y)
+        errors = plain_ses_errors(y, state.alpha)
+        assert state.residual_sd == (np.std(errors) if errors else 0.0)
 
 
 class TestTheta:
@@ -323,6 +333,42 @@ class TestTheta:
         entry = one(get_model("theta").forecast(panel, 4, levels=(0.5,)))
         assert np.all(np.isfinite(entry.mean))
         assert np.all(np.isfinite(entry.quantiles))
+
+
+class TestSeasonalPatternBytes:
+    def test_decompose_and_simple_models_are_frozen(self, air_passengers):
+        # One SHA-256 over the decompose components (at the panel's season
+        # length and at m = 1) and the theta, ses, croston and adida
+        # forecasts with quantiles, or the error a call raised.
+        y = air_passengers["AirPassengers"].values
+        rng = np.random.default_rng(1515)
+        t = np.arange(96.0)
+        strong = 100.0 + 0.5 * t + 20.0 * np.sin(2.0 * np.pi * t / 12.0) + rng.normal(0.0, 1.0, 96)
+        weak = 100.0 + 0.3 * t + np.sin(2.0 * np.pi * t / 12.0) + rng.normal(0.0, 5.0, 96)
+        holding_zero = strong.copy()
+        holding_zero[40] = 0.0
+        intermittent = rng.poisson(2.0, 60) * (rng.random(60) < 0.8)
+        quarterly = 50.0 + np.tile([8.0, -3.0, 5.0, -10.0], 10) + rng.normal(0.0, 0.5, 40)
+        daily = 30.0 + np.tile([4.0, 1.0, 0.0, -1.0, -2.0, 3.0, -5.0], 8) + rng.random(56)
+        cases = [(y[:k], "M") for k in (23, 24, 25, 36, 60, 132)] + [(y, "M")]
+        cases += [(strong, "M"), (weak, "M"), (holding_zero, "M"), (strong[:23], "M"),
+                  (intermittent, "M"), (quarterly, "Q"), (daily, "D")]
+        parts = []
+        for values, unit in cases:
+            panel = make_panel({"s": list(values)}, unit=unit)
+            for m in (panel.season_length, 1):
+                try:
+                    d = decompose(values, m)
+                    parts += [d.trend, d.seasonal, d.remainder]
+                except InsufficientDataError as exc:
+                    parts.append(str(exc).encode())
+            for alias in ("theta", "ses", "croston", "adida"):
+                entry = one(get_model(alias).forecast(panel, 12))
+                quantiles = b"none" if entry.quantiles is None else entry.quantiles
+                parts += [alias.encode(), entry.mean, quantiles, [entry.fallback]]
+        assert sha256_of(*parts) == (
+            "e4252ea2d97c974ca78f5feaa1d5edb3028a7724ed15bed083aa429052a78c29"
+        )
 
 
 class TestAutoETS:
@@ -464,6 +510,18 @@ class TestAutoETS:
         monkeypatch.setattr("agentcast.models.ets._smooth", counting)
         ets_fit(air_passengers["AirPassengers"].values, 12)
         assert len(calls) <= 15
+
+    def test_one_decomposition_per_fit(self, air_passengers, monkeypatch):
+        # every seasonal structure starts from the same seasonal pattern
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr("agentcast.models.ets.decompose", counting)
+        ets_fit(air_passengers["AirPassengers"].values, 12)
+        assert len(calls) == 1
 
     def test_programming_error_is_not_a_fallback(self):
         panel = make_panel({"s": [1.0, 2.0, 3.0, 4.0]})
@@ -649,7 +707,7 @@ class TestCroston:
     def test_dense_series_reduces_to_ses(self):
         y = np.array([4.0, 6.0, 5.0, 7.0, 6.0])
         state = croston_fit(y, "classic")
-        ses_state, _ = ses_fit(y, alpha=0.1)
+        ses_state = ses_fit(y, alpha=0.1)
         assert state.interval.level == 1.0
         np.testing.assert_allclose(state.rate, ses_state.level)
 
