@@ -11,14 +11,21 @@ levels, runs the step per series and attaches the future timestamps; its
 frame has no levels when a step returned no quantiles.  Cross-validation
 folds call the step directly on a training prefix, with no frame and no
 timestamps; an ensemble's folds combine its members' folds instead.
+
+The Gaussian z-scores come from ``_ndtri``, a port of Cephes ``ndtri``
+(Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
+rational approximations behind scipy's ``ndtri``; it gives scipy's bits
+without importing scipy.  ``gaussian_quantiles`` caches the read-only z
+array of each level tuple.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..errors import _FORECAST_FAILURES
 from ..panel import (
@@ -34,11 +41,79 @@ from ..panel import (
 )
 
 
+# Cephes ndtri tables, highest power first.  Cephes leaves the leading 1
+# of the Q tables implicit (p1evl); it is written out here, and 1.0 * x
+# is exact, so one Horner loop gives p1evl's bits.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule in Cephes ``polevl`` order, highest power first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile of ``y0``: -inf at 0, inf at 1, nan outside
+    [0, 1]; a NaN goes through the arithmetic, as in Cephes, and comes out
+    with its sign flipped."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    y, negate = y0, True
+    if y > 1.0 - _EXPM2:
+        y, negate = 1.0 - y, False
+    if y > _EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+@functools.lru_cache(maxsize=32)
+def _z_scores(levels: tuple[float, ...]) -> np.ndarray:
+    z = np.array([_ndtri(p) for p in levels], dtype=float)
+    z.flags.writeable = False  # shared by every caller of the cache
+    return z
+
+
 def gaussian_quantiles(
     mean: np.ndarray, sigma: np.ndarray, levels: Sequence[float]
 ) -> np.ndarray:
     """h x L matrix of Gaussian quantiles around the point forecasts."""
-    z = ndtri(np.asarray(levels, dtype=float))
+    z = _z_scores(tuple(map(float, levels)))
     return mean[:, None] + z[None, :] * np.asarray(sigma, dtype=float)[:, None]
 
 

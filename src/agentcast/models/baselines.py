@@ -81,7 +81,8 @@ def ses_fit(y: np.ndarray, alpha: float | None = None) -> SESState:
     elif not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
-    _, level, _, _, forecasts = _smooth(y[1:], *init, alpha, 0.0, 0.0, 0.0)
+    forecasts = []
+    level = _smooth(y[1:], *init, alpha, 0.0, 0.0, 0.0, fitted=forecasts)[1]
     sd = float((y[1:] - np.array(forecasts)).std()) if len(y) > 1 else 0.0
     return SESState(float(alpha), float(level), sd)
 

@@ -140,7 +140,7 @@ def _initial_states(y, m, structures):
     ]
 
 
-def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
+def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi, fitted=None):
     """Additive error-correction recursion of ETS(A,*,*) over ``y``.
 
     Weights and initial states are floats (one run) or equal-length arrays
@@ -148,13 +148,13 @@ def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
     equals its scalar run bit for bit, as both do the same IEEE operations
     in order.  ``phi`` multiplies the slope: 0 without a trend, 1 undamped.
     ``y[t]`` meets seasonal slot ``t % len(seasonal)``.
-    Returns the SSE (inf if not finite), the end level, slope and seasonal
-    states, and the one-step forecasts.
+    Returns the SSE (inf if not finite) and the end level, slope and
+    seasonal states; each step's one-step forecast is appended to
+    ``fitted`` when a list is given.
     """
     seasonal = list(seasonal)
     m = len(seasonal)
     sse = 0.0 * alpha  # zero in the shape of the weights
-    fitted = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t, obs in enumerate(y.tolist()):
             slot = t % m
@@ -166,8 +166,9 @@ def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi):
             level = base + alpha * e
             slope = damped + beta * e
             seasonal[slot] = seasonal[slot] + gamma * e
-            fitted.append(forecast)
-    return np.where(np.isfinite(sse), sse, np.inf), level, slope, seasonal, fitted
+            if fitted is not None:
+                fitted.append(forecast)
+    return np.where(np.isfinite(sse), sse, np.inf), level, slope, seasonal
 
 
 def _coarse_grid(trend: str, season: str) -> list[tuple[float, float, float, float]]:
@@ -264,7 +265,7 @@ def ets_fit(y: np.ndarray, m: int) -> ETSFit:
     if not results:
         raise InsufficientDataError("no ETS candidate produced a finite likelihood")
     aicc, trend, season, combo, init = min(results, key=lambda r: r[0])
-    sse, level, slope, seasonal, _ = _smooth(y, *init, *combo)
+    sse, level, slope, seasonal = _smooth(y, *init, *combo)
     sigma = float(np.sqrt(max(sse / n, SIGMA2_FLOOR)))
     params = ETSParams(
         trend=trend,

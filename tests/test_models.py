@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
+from scipy.special import ndtri
 
 from agentcast.errors import (
     InsufficientDataError,
@@ -27,6 +29,7 @@ from agentcast.models import (
     ses_fit,
 )
 from agentcast.models.arima import _fit_candidate, _roots_outside
+from agentcast.models.base import _EXPM2, _ndtri, _z_scores, gaussian_quantiles
 from agentcast.models.ets import SEASONS, TRENDS, _smooth
 from agentcast.panel import DEFAULT_LEVELS, future_grid
 
@@ -253,6 +256,12 @@ def row_bytes(value, i, count):
     return np.broadcast_to(np.asarray(value, dtype=float), (count,))[i].tobytes()
 
 
+def smooth_with_fitted(*args):
+    """``_smooth``'s result followed by the one-step forecasts it was asked for."""
+    fitted = []
+    return (*_smooth(*args, fitted=fitted), fitted)
+
+
 def assert_row_is_scalar_run(batch, i, count, scalar):
     """Row ``i`` of a ``count``-row ``_smooth`` result equals a scalar run."""
     sse, level, slope, seasonal, fitted = batch
@@ -273,9 +282,12 @@ class TestSmoothRecursion:
     @given(data=st.data())
     def test_batch_rows_equal_scalar_runs(self, trend, season, data):
         y, init, rows = data.draw(recursion_cases(trend, season))
-        batch = _smooth(y, *init, *np.array(rows).T)
+        batch = smooth_with_fitted(y, *init, *np.array(rows).T)
         for i, row in enumerate(rows):
-            assert_row_is_scalar_run(batch, i, len(rows), _smooth(y, *init, *row))
+            assert_row_is_scalar_run(batch, i, len(rows), smooth_with_fitted(y, *init, *row))
+        # not asking for the one-step forecasts changes nothing else
+        plain = _smooth(y, *init, *np.array(rows).T)
+        assert sha256_of(*plain[:3], *plain[3]) == sha256_of(*batch[:3], *batch[3])
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -284,9 +296,10 @@ class TestSmoothRecursion:
         level = np.array([init[0] for init, _ in runs])
         slope = np.array([init[1] for init, _ in runs])
         seasonal = list(np.array([init[2] for init, _ in runs]).T)
-        batch = _smooth(y, level, slope, seasonal, *np.array([row for _, row in runs]).T)
+        weights = np.array([row for _, row in runs]).T
+        batch = smooth_with_fitted(y, level, slope, seasonal, *weights)
         for i, (init, row) in enumerate(runs):
-            assert_row_is_scalar_run(batch, i, len(runs), _smooth(y, *init, *row))
+            assert_row_is_scalar_run(batch, i, len(runs), smooth_with_fitted(y, *init, *row))
 
     @settings(max_examples=200)
     @given(st.lists(finite_values, min_size=1, max_size=60))
@@ -690,6 +703,67 @@ class TestARIMAKernel:
         ar_poly, w = case
         expected = lfilter(ar_poly, [1.0], w)
         assert np.convolve(ar_poly, w)[: len(w)].tobytes() == expected.tobytes()
+
+
+# where Cephes ndtri switches branch: the reflections at exp(-2) and
+# 1 - exp(-2), sqrt(-2 log y) = 8 at exp(-32), and the ends and the middle
+NDTRI_SWITCHES = (0.0, 0.5, 1.0, _EXPM2, 1.0 - _EXPM2, math.exp(-32))
+
+
+def ndtri_port_bytes(values):
+    return np.array([_ndtri(v) for v in map(float, values)]).tobytes()
+
+
+def neighbours(x, steps=4):
+    """``x`` and the ``steps`` floats on either side of it."""
+    out, down, up = [x], x, x
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return out
+
+
+class TestNdtriPort:
+    """The Cephes port equals scipy.special.ndtri byte for byte, so the sign
+    of a zero and of a NaN counts too."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            DEFAULT_LEVELS,
+            np.arange(1, 1000) / 1000.0,
+            [v for x in NDTRI_SWITCHES for v in neighbours(x)],
+            np.geomspace(5e-324, math.exp(-32), 1000),  # the x >= 8 branch
+            [0.0, -0.0, 1.0, -0.1, 1.1, -np.inf, np.inf, np.nan, -np.nan],
+        ],
+        ids=["default-levels", "thousandths", "branch-neighbours", "tail", "edges"],
+    )
+    def test_equals_scipy(self, values):
+        assert ndtri_port_bytes(values) == ndtri(np.asarray(values, dtype=float)).tobytes()
+
+    @settings(max_examples=2000)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True))
+    def test_equals_scipy_inside_the_unit_interval(self, p):
+        assert ndtri_port_bytes([p]) == ndtri(np.array([p])).tobytes()
+
+
+class TestGaussianQuantiles:
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_bytes_equal_the_scipy_formula(self, kind):
+        mean = np.array([1.0, -2.5, 1e6])
+        sigma = np.array([0.0, 0.3, 12.5])
+        levels = kind(DEFAULT_LEVELS)
+        expected = mean[:, None] + ndtri(np.asarray(levels))[None, :] * sigma[:, None]
+        assert gaussian_quantiles(mean, sigma, levels).tobytes() == expected.tobytes()
+
+    def test_cached_z_scores_are_read_only(self):
+        mean, sigma = np.zeros(2), np.ones(2)
+        before = gaussian_quantiles(mean, sigma, DEFAULT_LEVELS).tobytes()
+        z = _z_scores(tuple(DEFAULT_LEVELS))
+        assert z is _z_scores(tuple(DEFAULT_LEVELS))
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        assert gaussian_quantiles(mean, sigma, DEFAULT_LEVELS).tobytes() == before
 
 
 class TestCroston:
