@@ -21,7 +21,7 @@ from .ensemble import monotonize_quantiles
 from .errors import AgentError, ConfigError, ProtocolError
 from .evaluation import EvalReport, aggregate_leaderboard, cross_validate
 from .features import FeatureReport, compute_features
-from .llm import ChatExchange, ChatMessage, LLMConfig, ToolCall, ToolSpec, llm_chat
+from .llm import LLMConfig, ToolCall, ToolSpec, llm_chat
 from .models import available_models, get_model
 from .panel import DEFAULT_LEVELS, ForecastFrame, SeriesPanel, format_timestamp
 
@@ -70,8 +70,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Pipeline knobs; ``n_jobs`` bounds only the remote requests in
-    flight during CV."""
+    """Pipeline knobs.  ``n_jobs`` changes nothing here, since the shortlist
+    is builtin models only; it stays because ``bench/layers.py`` reads it."""
 
     mode: str = "deterministic"
     budget: int = 5
@@ -126,7 +126,7 @@ def profile_features(features: FeatureReport) -> FeatureProfile:
     )
 
 
-def _rule_table(profile: FeatureProfile, registry) -> list[str]:
+def _rule_table(profile: FeatureProfile) -> list[str]:
     """Fixed-priority shortlist: seasonal, intermittent, trended, baseline."""
     m = profile.season_length
     picks: list[str] = []
@@ -140,16 +140,10 @@ def _rule_table(profile: FeatureProfile, registry) -> list[str]:
     picks.append("naive")
     if profile.n >= MIN_OBS_FOR_ARIMA and not intermittent and "autoarima" not in picks:
         picks.append("autoarima")
-    ordered = [alias for alias in dict.fromkeys(picks) if alias in registry]
-    if ordered == ["naive"] and "ses" in registry:
+    ordered = list(dict.fromkeys(picks))
+    if ordered == ["naive"]:
         ordered.append("ses")
-    if not ordered:
-        ordered = [sorted(registry)[0]]
     return ordered
-
-
-def _note(alias: str) -> str:
-    return ASSUMPTION_NOTES.get(alias, "no documented assumptions")
 
 
 def _propose_tool(registry, budget) -> ToolSpec:
@@ -186,9 +180,8 @@ def _ask(llm_config, transport, system, user, tools=()):
     """The reply to one system + user exchange: a ToolCall when ``tools``
     are offered, else the stripped text; None (the caller falls back to its
     deterministic result) for any other reply, empty text or a ProtocolError."""
-    exchange = ChatExchange((ChatMessage("system", system), ChatMessage("user", user)), tools)
     try:
-        reply = llm_chat(llm_config, exchange, transport)
+        reply = llm_chat(llm_config, system, user, tools, transport)
     except ProtocolError:
         return None
     if tools:
@@ -196,8 +189,9 @@ def _ask(llm_config, transport, system, user, tools=()):
     return (reply.strip() or None) if isinstance(reply, str) else None
 
 
-def _llm_candidates(profile, registry, budget, llm_config, transport):
+def _llm_candidates(profile, budget, llm_config, transport):
     """Validated LLM shortlist, or None when the reply is unusable."""
+    registry = available_models()
     reply = _ask(
         llm_config, transport,
         "You shortlist univariate forecasting models. Call the "
@@ -217,42 +211,17 @@ def _llm_candidates(profile, registry, budget, llm_config, transport):
     return aliases or None
 
 
-def _propose(features, config, registry, llm_config, transport):
-    profile = (
-        features if isinstance(features, FeatureProfile) else profile_features(features)
-    )
-    if registry is None:
-        registry = available_models()
-    registry = list(registry)
-    if not registry:
-        raise ConfigError("model registry is empty")
-    aliases = None
-    source = "rule table"
-    if config.mode == "llm" and llm_config is not None:
-        aliases = _llm_candidates(profile, registry, config.budget, llm_config, transport)
-        if aliases is not None:
-            source = "llm"
-    if aliases is None:
-        aliases = _rule_table(profile, registry)
-    aliases = aliases[: config.budget]
-    return [Candidate(alias, _note(alias)) for alias in aliases], source
-
-
-def propose_candidates(
-    features,
-    config: AgentConfig | None = None,
-    registry=None,
-    llm_config: LLMConfig | None = None,
-    transport=None,
-) -> list[Candidate]:
-    """Ordered model shortlist for the given diagnostics.
+def propose_candidates(features, config: AgentConfig | None = None) -> list[Candidate]:
+    """The rule table's ordered model shortlist for the given diagnostics.
 
     ``features`` may be a FeatureReport or an already-built FeatureProfile.
     Always returns at least one candidate, truncated to the budget.
     """
     config = config or AgentConfig()
-    candidates, _ = _propose(features, config, registry, llm_config, transport)
-    return candidates
+    profile = (
+        features if isinstance(features, FeatureProfile) else profile_features(features)
+    )
+    return [Candidate(a, ASSUMPTION_NOTES[a]) for a in _rule_table(profile)[: config.budget]]
 
 
 @dataclass(frozen=True)
@@ -507,7 +476,12 @@ def run_agent(
         f"nonstationary={str(profile.kpss_nonstationary).lower()}"
     )
 
-    candidates, source = _propose(profile, config, None, llm_config, transport)
+    aliases = llm_config and _llm_candidates(profile, config.budget, llm_config, transport)
+    if aliases:
+        candidates = [Candidate(a, ASSUMPTION_NOTES[a]) for a in aliases[: config.budget]]
+    else:
+        candidates = propose_candidates(profile, config)
+    source = "llm" if aliases else "rule table"
     trace.append(f"candidates: {', '.join(c.alias for c in candidates)} [{source}]")
 
     cv = cross_validate(

@@ -1,10 +1,11 @@
 """Provider-agnostic chat-completions client.
 
 The wire format is the OpenAI-compatible one: POST {endpoint}/chat/completions
-with {"model", "temperature", "messages", "tools"?}, bearer credential from a
-configured environment variable.  Requests go through the same retrying
-client as ``adapter:`` models (``_http``), whose transport callable can be
-injected for testing; it receives (url, body_bytes, headers, timeout) and
+with {"model", "temperature": 0.0, "messages", "tools"?}, where "messages" is
+one system and one user message, and a bearer credential from a configured
+environment variable.  Requests go through the same retrying client as
+``adapter:`` models (``_http``), whose transport callable can be injected
+for testing; it receives (url, body_bytes, headers, timeout) and
 returns (status_code, response_bytes).
 """
 
@@ -21,9 +22,7 @@ from .errors import ConfigError, ProtocolError
 __all__ = [
     "PROVIDER_DEFAULTS",
     "LLMConfig",
-    "ChatMessage",
     "ToolSpec",
-    "ChatExchange",
     "ToolCall",
     "llm_chat",
 ]
@@ -31,9 +30,6 @@ __all__ = [
 # Providers with a well-known endpoint; anything else must be configured.
 PROVIDER_DEFAULTS = {"openai": ("https://api.openai.com/v1", "OPENAI_API_KEY")}
 
-CHAT_ROLES = ("system", "user", "assistant", "tool")
-
-DEFAULT_TEMPERATURE = 0.0
 DEFAULT_TIMEOUT_S = 60.0
 
 
@@ -49,7 +45,6 @@ class LLMConfig:
     spec: str
     endpoint: str | None = None
     credential_var: str | None = None
-    temperature: float = DEFAULT_TEMPERATURE
     timeout: float = DEFAULT_TIMEOUT_S
     max_retries: int = DEFAULT_MAX_RETRIES
     backoff_ms: float = DEFAULT_BACKOFF_MS
@@ -63,8 +58,6 @@ class LLMConfig:
         provider, model = self.spec.split(":")
         if not provider or not model:
             raise ConfigError(f"model spec {self.spec!r} has an empty provider or model")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ConfigError(f"temperature must be in [0, 2], got {self.temperature}")
         check_policy(self)
         defaults = PROVIDER_DEFAULTS.get(provider)
         endpoint = self.endpoint
@@ -86,22 +79,8 @@ class LLMConfig:
         object.__setattr__(self, "credential_var", credential)
 
     @property
-    def provider(self) -> str:
-        return self.spec.split(":")[0]
-
-    @property
     def model(self) -> str:
         return self.spec.split(":")[1]
-
-
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self):
-        if self.role not in CHAT_ROLES:
-            raise ValueError(f"role {self.role!r} not among {CHAT_ROLES}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +100,6 @@ class ToolSpec:
                 "parameters": dict(self.parameters),
             },
         }
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    messages: tuple[ChatMessage, ...]
-    tools: tuple[ToolSpec, ...] = ()
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("chat exchange needs at least one message")
 
 
 @dataclass(frozen=True)
@@ -175,10 +144,13 @@ def _parse_completion(data, declared_tools):
 
 def llm_chat(
     config: LLMConfig,
-    exchange: ChatExchange,
+    system: str,
+    user: str,
+    tools: tuple[ToolSpec, ...] = (),
     transport: Callable | None = None,
 ):
-    """One chat-completions round trip; returns assistant text or a ToolCall.
+    """One system + user chat-completions round trip at temperature 0;
+    returns the assistant text or a ToolCall to one of ``tools``.
 
     The request goes through the adapter's client (``_http.post_json``):
     429, 5xx and transport faults are retried with exponential backoff up
@@ -191,11 +163,14 @@ def llm_chat(
         )
     payload = {
         "model": config.model,
-        "temperature": config.temperature,
-        "messages": [{"role": m.role, "content": m.content} for m in exchange.messages],
+        "temperature": 0.0,
+        "messages": [
+            {"role": "system", "content": system},
+            {"role": "user", "content": user},
+        ],
     }
-    if exchange.tools:
-        payload["tools"] = [tool.to_payload() for tool in exchange.tools]
+    if tools:
+        payload["tools"] = [tool.to_payload() for tool in tools]
     headers = {"Authorization": f"Bearer {credential}"}
     data = post_json(f"{config.endpoint}/chat/completions", payload, config, headers, transport)
-    return _parse_completion(data, exchange.tools)
+    return _parse_completion(data, tools)

@@ -278,9 +278,13 @@ def format_timestamp(ts: datetime) -> str:
 
 def parse_timestamp(text: str) -> datetime:
     try:
-        return datetime.fromisoformat(text.strip())
+        ts = datetime.fromisoformat(text.strip())
     except ValueError:
         pass
+    else:
+        if ts.tzinfo is not None:
+            raise ValueError(f"timestamp {text!r} carries a UTC offset")
+        return ts
     for fmt in ("%Y-%m-%d %H:%M", "%Y-%m-%dT%H:%M", "%Y/%m/%d"):
         try:
             return datetime.strptime(text.strip(), fmt)
@@ -337,7 +341,7 @@ def parse_panel(
             cells = line.split(",")
             if len(cells) == 1 and not cells[0].strip():
                 continue  # a blank or whitespace-only line
-            if len(cells) < len(header):
+            if len(cells) != len(header):
                 raise ParseError(
                     f"row {row_number}: expected {len(header)} columns, got {len(cells)}"
                 )

@@ -152,6 +152,19 @@ class TestStubServer:
             post_json(f"{spec.url}/forecast", payload, spec)
         assert stub.request_count - before == 1
 
+    def test_utc_offset_in_ds_is_a_request_error(self, stub):
+        payload = {
+            "id": "s",
+            "freq": "M",
+            "ds": [f"2020-{k + 1:02d}-01T00:00:00+00:00" for k in range(12)],
+            "y": [float(v) for v in range(12)],
+            "h": 3,
+        }
+        spec = adapter_spec(stub.url)
+        with pytest.raises(RequestError, match="carries a UTC offset") as err:
+            post_json(f"{spec.url}/forecast", payload, spec)
+        assert err.value.category == "request"
+
     def test_mirrors_the_builtin_model(self, stub):
         panel = make_panel({"s": [float(v) for v in range(1, 25)]})
         local = get_model("seasonalnaive").forecast(panel, 6)

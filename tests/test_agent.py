@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from datetime import datetime
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from agentcast.agent import (
+    ASSUMPTION_NOTES,
     AgentConfig,
     Candidate,
     FeatureProfile,
@@ -106,26 +109,21 @@ class TestProposeCandidates:
         candidates = propose_candidates(seasonal_profile(), AgentConfig(budget=2))
         assert [c.alias for c in candidates] == ["seasonalnaive", "autoets"]
 
-    def test_registry_restriction(self):
-        profile = seasonal_profile(
-            seasonal_strength=0.1, trend_strength=0.1, intermittency=0.7,
-            kpss_nonstationary=False,
-        )
-        candidates = propose_candidates(profile, registry=["adida", "naive"])
-        assert [c.alias for c in candidates] == ["adida", "naive"]
-
     def test_never_empty(self):
         profile = seasonal_profile(
             n=5, seasonal_strength=0.0, trend_strength=0.0, kpss_nonstationary=False
         )
-        candidates = propose_candidates(profile, registry=["theta"])
-        assert [c.alias for c in candidates] == ["theta"]
+        candidates = propose_candidates(profile)
+        assert [c.alias for c in candidates] == ["naive", "ses"]
 
     def test_candidates_carry_assumption_notes(self):
         for candidate in propose_candidates(seasonal_profile()):
             assert candidate.note
         notes = {c.alias: c.note for c in propose_candidates(seasonal_profile())}
         assert "cycle" in notes["seasonalnaive"]
+
+    def test_every_registry_alias_has_a_note(self):
+        assert set(ASSUMPTION_NOTES) == set(available_models())
 
     def test_feature_report_input(self, air_passengers):
         report = compute_features(air_passengers)
@@ -290,8 +288,8 @@ class TestRunAgent:
 
         monkeypatch.setattr(
             agent_module,
-            "_propose",
-            lambda *a, **k: ([Candidate("seasonalnaive", "cycle repeats")], "rule table"),
+            "propose_candidates",
+            lambda *a, **k: [Candidate("seasonalnaive", "cycle repeats")],
         )
         panel = make_panel({"s": [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]})
         with pytest.raises(AgentError) as err:
@@ -448,3 +446,36 @@ class TestRunAgent:
         assert payload["h"] == 12
         assert len(payload["forecast"]["AirPassengers"]["mean"]) == 12
         assert payload["trace"] == list(ap_result.trace)
+
+    def test_llm_wire_bytes_are_frozen(self, monkeypatch, air_passengers):
+        # Two llm-mode runs: one valid tool reply, one with only unknown
+        # aliases (rule-table fallback). The digest covers the URL, the raw
+        # body and the sorted headers of all six requests, then both
+        # results' JSON.
+        digest = hashlib.sha256()
+
+        def transport(url, body, headers, timeout):
+            digest.update(url.encode() + b"\0" + body + b"\0")
+            for name, value in sorted(headers.items()):
+                digest.update(f"{name}: {value}\n".encode())
+            return 200, json.dumps(replies.pop(0)).encode()
+
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        for proposed in (["theta", "naive", "ses"], ["prophet", "chronos"]):
+            replies = [
+                tool_completion("propose_models", {"candidates": proposed}),
+                completion("explanation text"),
+                completion("answer text"),
+            ]
+            result = run_agent(
+                air_passengers,
+                query="how many air passengers in the next 12 months?",
+                config=AgentConfig(mode="llm"),
+                llm_config=LLMConfig("openai:gpt-4o", backoff_ms=0.1),
+                transport=transport,
+            )
+            assert replies == []
+            digest.update(result.to_json().encode())
+        assert digest.hexdigest() == (
+            "a864fd42f9ba749bfb77a3592630cf201e7531db2d92e37d95cac97bb6e638a9"
+        )

@@ -100,6 +100,21 @@ class TestForecastCommand:
         assert err.startswith("error: parse: row 3: ")
         assert err.count("\n") == 1
 
+    def test_utc_offset_is_a_one_line_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "offset.csv"
+        path.write_text(
+            "unique_id,ds,y\n"
+            "s,2020-01-01,1.0\ns,2020-02-01T00:00:00+00:00,2.0\ns,2020-03-01,3.0\n"
+        )
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(path), "--models", "naive", "--h", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: parse: row 3: timestamp '2020-02-01T00:00:00+00:00' carries a UTC offset\n"
+        )
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "forecast", "--input", str(tmp_path / "nope.csv"),

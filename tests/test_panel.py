@@ -248,6 +248,25 @@ class TestParsePanel:
         with pytest.raises(ParseError, match=r"^row 2: empty series id$"):
             parse_csv_text("unique_id,ds,y\n  ,2020-01-01,1\n")
 
+    @pytest.mark.parametrize(
+        "stamps, row",
+        [
+            (("2020-01-01", "2020-02-01T00:00:00+00:00", "2020-03-01"), 3),
+            (("2020-01-01T00:00+02:00", "2020-02-01T00:00+02:00", "2020-03-01T00:00+02:00"), 2),
+            (("2020-01-01", "2020-02-01", "2020-03-01T00:00:00Z"), 4),
+        ],
+        ids=["mixed", "all-offset", "z-suffix"],
+    )
+    def test_utc_offset_is_a_parse_error(self, stamps, row):
+        text = "unique_id,ds,y\n" + "".join(f"a,{t},{k}\n" for k, t in enumerate(stamps))
+        with pytest.raises(ParseError, match=rf"^row {row}: timestamp .* carries a UTC offset$"):
+            parse_csv_text(text)
+
+    def test_more_cells_than_the_header_is_a_parse_error(self):
+        text = "unique_id,ds,y\na,2020-01-01,1\na,2020-02-01,2,9\n"
+        with pytest.raises(ParseError, match=r"^row 3: expected 3 columns, got 4$"):
+            parse_csv_text(text)
+
     def test_bad_value_reports_row(self):
         text = "unique_id,ds,y\na,2020-01-01,oops\n"
         with pytest.raises(ParseError, match="row 2"):
