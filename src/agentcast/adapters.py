@@ -5,12 +5,12 @@ A model is requested by a spec string: a bare registry alias, an
 "adapter:<url>" pointing at a forecast server, or
 "median_ensemble:a+b+c" combining other specs.  ``RemoteForecaster`` and
 ``EnsembleForecaster`` override only the per-series step of
-``Forecaster``, so its one panel loop drives all kinds alike.  A CV fold
-runs the step of every other kind; an ensemble fold combines its
-members' folds (``_combine``).  The remote step is one JSON request
-(POST {base}/forecast) through the retrying client in ``_http``, whose
-response must hold ``h`` finite values for the mean and for each
-requested level.
+``Forecaster``, so the default panel step runs them series by series.
+A CV fold of a remote model is one step; an ensemble combines its
+members' folds, one block per fold (``_combine``).  The remote step is
+one JSON request (POST {base}/forecast) through the retrying client in
+``_http``, whose response must hold ``h`` finite values for the mean and
+for each requested level.
 A threaded stub server mirroring any builtin model backs the tests.
 
 Wire format, request:  {"id", "freq", "ds", "y", "h", "levels"}
@@ -212,19 +212,20 @@ class EnsembleForecaster(Forecaster):
         self.name = f"median_ensemble[{'+'.join(m.name for m in members)}]"
 
     def _forecast_values(self, key, series, freq, h, levels):
-        return self._combine(
-            key, (m._forecast_values(key, series, freq, h, levels) for m in self.members), levels
+        mean, quantiles, fallback = self._combine(
+            (m._forecast_values(key, series, freq, h, levels) for m in self.members), levels
         )
+        _check_finite(mean, quantiles, self.name, key)
+        return mean, quantiles, fallback
 
-    def _combine(self, key, member_results, levels):
-        """(mean, quantiles, fallback) from the members' results in member
-        order: their steps, or the folds that CV stored."""
+    def _combine(self, member_results, levels):
+        """(mean, quantiles, fallback), unchecked for non-finite cells, of one
+        series or an (S, h) block from its members' steps or stored CV folds."""
         mean, quantiles, fallback = _median_values(member_results)
         if levels is not None and quantiles is None:
             raise ConfigError("quantile levels requested but no ensemble member supports quantiles")
         if quantiles is not None:
             quantiles = _monotone_rows(quantiles)
-        _check_finite(mean, quantiles, self.name, key)
         return mean, quantiles, fallback
 
 

@@ -5,8 +5,8 @@ and each quantile cell); members that cannot produce quantiles still
 vote on the point forecasts.  Because medians of individually monotone
 quantile rows need not stay monotone, rows are re-monotonized with
 isotonic regression (pool-adjacent-violators) after combining.  The
-array-level steps serve both the frame functions here and the per-series
-step of ``adapters.EnsembleForecaster``.
+array-level steps take one series or a block with a leading series axis;
+they serve the frame functions here and ``adapters.EnsembleForecaster``.
 """
 
 from __future__ import annotations
@@ -87,15 +87,16 @@ def _median_values(members):
 
 
 def _monotone_rows(quantiles: np.ndarray) -> np.ndarray:
-    """A copy with each decreasing horizon row replaced by its isotonic fit.
+    """A copy with each decreasing row of levels replaced by its isotonic fit.
 
     PAVA pools only across a decreasing step and returns any other row
     unchanged, bit for bit, so only rows with such a step are refitted.
     """
     fixed = quantiles.copy()
+    rows = fixed.reshape(-1, fixed.shape[-1])  # a view of the fresh copy
     # The same comparison PAVA pools on; NaN compares false in both.
-    for i in np.flatnonzero((fixed[:, 1:] < fixed[:, :-1]).any(axis=1)):
-        fixed[i] = pava_isotonic(fixed[i])
+    for i in np.flatnonzero((rows[:, 1:] < rows[:, :-1]).any(axis=1)):
+        rows[i] = pava_isotonic(rows[i])
     return fixed
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
 from .adapters import EnsembleForecaster, resolve_models
 from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
+from .models.base import _finite_rows
 from .panel import (
     DEFAULT_LEVELS,
     Series,
@@ -212,12 +213,12 @@ def cross_validate(
     actuals are recorded verbatim.
     A forecasting failure of one (model, series, fold) is recorded as a
     failed fold and never aborts the run; a programming error propagates.
-    Each model other than an ensemble is fitted once per fold, unlisted
-    ensemble members included; an ensemble fold is the median of its
-    members' folds.  Only folds of a forecaster that ``waits_on_network``
-    run on a pool of ``n_jobs`` threads, which bounds the remote requests
-    in flight; every other fold runs on the calling thread.  The report is
-    the same at any ``n_jobs``.
+    Each model other than an ensemble, unlisted members included, is fitted
+    once per fold by one panel step over its training prefixes (a block per
+    prefix length for an array model); an ensemble fold is the median of its
+    members' folds, one block per fold.  Only folds of a ``waits_on_network``
+    forecaster run on a pool of ``n_jobs`` threads, which bounds the remote
+    requests in flight.  The report is the same at any ``n_jobs``.
     """
     if len(panel) == 0:
         raise ConfigError("cannot cross-validate an empty panel")
@@ -264,55 +265,65 @@ def cross_validate(
     failed = np.zeros(shape, dtype=bool)
     quantiles = [None] * len(forecasters)  # allocated at a model's first quantile block
 
-    folds = list(product(range(len(forecasters)), range(len(keys)), range(n_windows)))
-    combined = [fold for fold in folds if fold[0] in members]
-    fits = [fold for fold in folds if fold[0] not in members]
-    remote = [fold for fold in fits if forecasters[fold[0]].waits_on_network]
-    local = [fold for fold in fits if not forecasters[fold[0]].waits_on_network]
     series = [panel[key] for key in keys]
+    fitted = [mi for mi in range(len(forecasters)) if mi not in members]
+    local = [mi for mi in fitted if not forecasters[mi].waits_on_network]
+    remote = [(mi, si, fi) for mi in fitted if mi not in local
+              for si in range(len(keys)) for fi in range(n_windows)]
 
-    def fit(fold):
-        """One fold's (mean, quantiles, fallback), or None on a forecasting failure."""
-        mi, si, fi = fold
-        s, cutoff = series[si], plans[si].cutoffs[fi]
-        # A validated series' prefix needs no validation, on month-end grids
-        # too: the series has days min(A, month length), A its largest day;
-        # if the prefix's largest day D < A, every prefix day is already its
-        # month's end, so min(D, month length) reproduces each of them.
-        train = Series(s.timestamps[:cutoff], s.values[:cutoff])
-        try:
-            return forecasters[mi]._forecast_values(keys[si], train, panel.freq, h, levels)
-        except _FORECAST_FAILURES:
-            return None
-
-    def combine(fold):
-        """An ensemble fold from its members' stored folds; failed if one of them failed."""
-        mi, si, fi = fold
-        if failed[members[mi], si, fi].any():
-            return None
-        try:
-            return forecasters[mi]._combine(keys[si], [
-                (yhat[j, si, fi], None if quantiles[j] is None else quantiles[j][si, fi], False)
-                for j in members[mi]
-            ], levels)
-        except _FORECAST_FAILURES:
-            return None
-
-    # Remote folds wait on the pool while local folds run on this thread;
-    # the chain is lazy, so ensemble folds combine after every member fold.
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        replies = pool.map(fit, remote)
-        results = chain(zip(local, map(fit, local)), zip(remote, replies),
-                        zip(combined, map(combine, combined)))
-        for (mi, si, fi), result in results:
-            if result is None:
-                failed[mi, si, fi] = True
-                continue
-            yhat[mi, si, fi], q, _ = result
+    def record(mi, si, fi, result):
+        """Record a result or failure; ``si`` is a series or an index array."""
+        failed[mi, si, fi] = isinstance(result, Exception)
+        if not isinstance(result, Exception):
+            yhat[mi, si, fi], q = result[:2]
             if q is not None:
                 if quantiles[mi] is None:
                     quantiles[mi] = np.full(shape[1:] + (h, len(levels)), np.nan)
                 quantiles[mi][si, fi] = q
+
+    def train(si, fi):
+        # A validated series' prefix needs no validation, on month-end grids
+        # too: the series has days min(A, month length), A its largest day;
+        # if the prefix's largest day D < A, every prefix day is already its
+        # month's end, so min(D, month length) reproduces each of them.
+        s, cutoff = series[si], plans[si].cutoffs[fi]
+        return Series(s.timestamps[:cutoff], s.values[:cutoff])
+
+    def fit(fold):
+        mi, si, fi = fold
+        step = forecasters[mi]._forecast_panel([keys[si]], [train(si, fi)], panel.freq, h, levels)
+        return next(step)
+
+    def combine(mi, fi):
+        """An ensemble's folds from its members' stored folds, in one block;
+        a fold fails if a member's fold failed or a cell is not finite."""
+        js, failed[mi, :, fi] = members[mi], True
+        rows = np.flatnonzero(~failed[js, :, fi].any(axis=0))
+        try:
+            mean, q, _ = forecasters[mi]._combine([
+                (yhat[j, rows, fi], None if quantiles[j] is None else quantiles[j][rows, fi], False)
+                for j in js
+            ], levels)
+        except _FORECAST_FAILURES:
+            return
+        ok = _finite_rows(mean, q)
+        if ok.any():
+            record(mi, rows[ok], fi, (mean[ok], None if q is None else q[ok]))
+
+    # Remote folds wait on the pool while each local model runs one panel
+    # step per fold on this thread; ensembles combine after every member fold.
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        replies = pool.map(fit, remote)
+        for fi in range(n_windows):  # one fold's prefixes alive at a time
+            trains = [train(si, fi) for si in range(len(keys))]
+            for mi in local:
+                steps = forecasters[mi]._forecast_panel(keys, trains, panel.freq, h, levels)
+                for si, result in enumerate(steps):
+                    record(mi, si, fi, result)
+        for fold, result in zip(remote, replies):
+            record(*fold, result)
+    for mi, fi in product(members, range(n_windows)):
+        combine(mi, fi)
 
     listed = len(names)
     return CrossValReport(

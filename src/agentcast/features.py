@@ -30,9 +30,6 @@ class DecompositionResult:
     remainder: np.ndarray
     season_length: int
 
-    def reconstruct(self) -> np.ndarray:
-        return self.trend + self.seasonal + self.remainder
-
 
 def _centered_moving_average(y: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     """Trend estimate and the index where it becomes defined.

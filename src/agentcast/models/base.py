@@ -6,11 +6,12 @@ or no levels were requested) and whether the naive fallback was used.
 The builtin step runs ``_forecast_series`` on the values, counts a
 non-finite mean or quantile as a forecasting failure and applies the auto
 models' naive fallback; adapter and ensemble forecasters override only
-the step.  ``forecast`` is the one panel loop: it validates ``h`` and the
-levels, runs the step per series and attaches the future timestamps; its
-frame has no levels when a step returned no quantiles.  Cross-validation
-folds call the step directly on a training prefix, with no frame and no
-timestamps; an ensemble's folds combine its members' folds instead.
+the step.  Array models implement ``_forecast_block`` instead: (S, n)
+equal-length series in, (S, h) means and (S, h, L) quantiles out, its one
+row being ``_forecast_series``.  The panel step, ``_forecast_panel``, that
+``forecast`` and CV folds run, takes a block per length and reruns each
+failed or non-finite row per series; ``forecast`` raises the first failure
+in panel order.  Its frame has no levels when a step returned no quantiles.
 
 The Gaussian z-scores come from ``_ndtri``, a port of Cephes ``ndtri``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
@@ -112,9 +113,9 @@ def _z_scores(levels: tuple[float, ...]) -> np.ndarray:
 def gaussian_quantiles(
     mean: np.ndarray, sigma: np.ndarray, levels: Sequence[float]
 ) -> np.ndarray:
-    """h x L matrix of Gaussian quantiles around the point forecasts."""
+    """h x L (S x h x L for S x h means) Gaussian quantiles around the means."""
     z = _z_scores(tuple(map(float, levels)))
-    return mean[:, None] + z[None, :] * np.asarray(sigma, dtype=float)[:, None]
+    return mean[..., None] + z * np.asarray(sigma, dtype=float)[..., None]
 
 
 SIGMA2_FLOOR = 1e-10
@@ -131,7 +132,7 @@ def _aicc(sse: float, n: int, k: int) -> float:
 
 
 class Forecaster:
-    """Base class: builtin models set ``name`` and implement ``_forecast_series``."""
+    """Base class: builtin models set ``name`` and a series or block step."""
 
     name = "forecaster"
     # auto models degrade to naive on failure instead of aborting a batch
@@ -139,11 +140,14 @@ class Forecaster:
     # CV overlaps only folds that wait on a remote reply: a local fit holds
     # the GIL, so running it on a worker thread adds switching and no speed
     waits_on_network = False
+    _forecast_block = None  # (Y, m, h, levels) -> (mean, quantiles) blocks
 
     def _forecast_series(
         self, y: np.ndarray, m: int, h: int, levels: tuple[float, ...] | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        raise NotImplementedError
+        if self._forecast_block is None:
+            raise NotImplementedError
+        return _row(*self._forecast_block(y[None, :], m, h, levels))
 
     def _forecast_values(
         self, key: str, series: Series, freq: Frequency, h: int, levels: tuple[float, ...] | None
@@ -156,9 +160,32 @@ class Forecaster:
         except _FORECAST_FAILURES:
             if not self.fallback_to_naive:
                 raise
-        mean, quantiles = _naive_series(series.values, h, levels)
+        mean, quantiles = _row(*_naive_block(series.values[None, :], h, levels))
         _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
         return mean, quantiles, True
+
+    def _forecast_panel(self, keys, series, freq, h, levels):
+        """Yield per series, in order, its (mean, quantiles, fallback) or the
+        forecasting failure it raised.  An array model runs a block per
+        series length; any other row, or one whose block raised or came out
+        non-finite, runs the per-series step lazily, when it is reached."""
+        done, groups = {}, {}
+        for i, s in enumerate(series if self._forecast_block is not None else ()):
+            groups.setdefault(len(s), []).append(i)
+        for rows in groups.values():
+            try:
+                mean, quantiles = self._forecast_block(
+                    np.array([series[i].values for i in rows]), freq.season_length, h, levels
+                )
+            except _FORECAST_FAILURES:
+                continue
+            for r in np.flatnonzero(_finite_rows(mean, quantiles)):
+                done[rows[r]] = (*_row(mean, quantiles, r), False)
+        for i, (key, s) in enumerate(zip(keys, series)):
+            try:
+                yield done[i] if i in done else self._forecast_values(key, s, freq, h, levels)
+            except _FORECAST_FAILURES as exc:
+                yield exc
 
     def forecast(
         self,
@@ -170,23 +197,34 @@ class Forecaster:
             raise ValueError(f"horizon must be >= 1, got {h}")
         if levels is not None:
             levels = validate_levels(levels)
+        keys = panel.keys()
+        results = self._forecast_panel(keys, [panel[key] for key in keys], panel.freq, h, levels)
         entries = {}
-        for key, s in panel.items():
-            mean, quantiles, fallback = self._forecast_values(key, s, panel.freq, h, levels)
-            timestamps = tuple(future_grid(s.timestamps[-1], panel.freq, h))
-            entries[key] = ForecastEntry(timestamps, mean, quantiles, fallback)
+        for key, result in zip(keys, results):
+            if isinstance(result, Exception):
+                raise result
+            timestamps = tuple(future_grid(panel[key].timestamps[-1], panel.freq, h))
+            entries[key] = ForecastEntry(timestamps, *result)
         if any(entry.quantiles is None for entry in entries.values()):
             levels = None
         return ForecastFrame(self.name, entries, levels)
 
 
-def _naive_series(
-    y: np.ndarray, h: int, levels: tuple[float, ...] | None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _naive_block(Y, h, levels):
     """Shared by the Naive model and the auto-model fallback path."""
-    mean = np.full(h, y[-1])
+    mean = np.repeat(Y[:, -1:], h, axis=1)
     if levels is None:
         return mean, None
-    sigma_1 = np.diff(y).std() if len(y) >= 2 else 0.0
-    sigma = sigma_1 * np.sqrt(np.arange(1, h + 1))
+    sigma_1 = np.diff(Y, axis=1).std(axis=1) if Y.shape[1] >= 2 else np.zeros(len(Y))
+    sigma = sigma_1[:, None] * np.sqrt(np.arange(1, h + 1))
     return mean, gaussian_quantiles(mean, sigma, levels)
+
+
+def _finite_rows(mean, quantiles) -> np.ndarray:
+    """Whether each row of (S, h) means and (S, h, L) quantiles is finite."""
+    finite = np.isfinite(mean).all(axis=1)
+    return finite if quantiles is None else finite & np.isfinite(quantiles).all(axis=(1, 2))
+
+
+def _row(mean, quantiles, r=0):
+    return mean[r], None if quantiles is None else quantiles[r]

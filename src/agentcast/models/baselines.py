@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError, SeriesTooShortError
-from .base import Forecaster, _naive_series, gaussian_quantiles
+from .base import Forecaster, _naive_block, gaussian_quantiles
 from .ets import _smooth
 
 
@@ -19,8 +19,8 @@ class Naive(Forecaster):
 
     name = "naive"
 
-    def _forecast_series(self, y, m, h, levels):
-        return _naive_series(y, h, levels)
+    def _forecast_block(self, Y, m, h, levels):
+        return _naive_block(Y, h, levels)
 
 
 class SeasonalNaive(Forecaster):
@@ -28,18 +28,18 @@ class SeasonalNaive(Forecaster):
 
     name = "seasonalnaive"
 
-    def _forecast_series(self, y, m, h, levels):
-        n = len(y)
+    def _forecast_block(self, Y, m, h, levels):
+        n = Y.shape[1]
         if n < m:
             raise SeriesTooShortError(
                 f"seasonal naive needs at least m={m} observations, got {n}"
             )
         steps = np.arange(h)
-        mean = y[n - m + steps % m]
+        mean = Y[:, n - m + steps % m]
         if levels is None:
             return mean, None
-        sigma_m = (y[m:] - y[:-m]).std() if n >= m + 1 else 0.0
-        sigma = sigma_m * np.sqrt(np.ceil((steps + 1) / m))
+        sigma_m = (Y[:, m:] - Y[:, :-m]).std(axis=1) if n >= m + 1 else np.zeros(len(Y))
+        sigma = sigma_m[:, None] * np.sqrt(np.ceil((steps + 1) / m))
         return mean, gaussian_quantiles(mean, sigma, levels)
 
 
@@ -48,12 +48,12 @@ class HistoricAverage(Forecaster):
 
     name = "historicaverage"
 
-    def _forecast_series(self, y, m, h, levels):
-        mean = np.full(h, y.mean())
+    def _forecast_block(self, Y, m, h, levels):
+        mean = np.repeat(Y.mean(axis=1)[:, None], h, axis=1)
         if levels is None:
             return mean, None
-        sigma_val = y.std(ddof=1) if len(y) >= 2 else 0.0
-        return mean, gaussian_quantiles(mean, np.full(h, sigma_val), levels)
+        sigma = Y.std(axis=1, ddof=1) if Y.shape[1] >= 2 else np.zeros(len(Y))
+        return mean, gaussian_quantiles(mean, np.repeat(sigma[:, None], h, axis=1), levels)
 
 
 @dataclass(frozen=True)

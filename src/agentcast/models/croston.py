@@ -18,8 +18,10 @@ import numpy as np
 
 from .base import Forecaster
 from .baselines import SESState, ses_fit
+from .ets import _smooth
 
 CROSTON_ALPHA = 0.1
+SES_STATES = (0.0, [0.0], CROSTON_ALPHA, 0.0, 0.0, 0.0)  # _smooth's arguments after the level
 
 
 @dataclass(frozen=True)
@@ -30,44 +32,53 @@ class CrostonState:
     rate: float
 
 
-def _demand_points(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero demand sizes and inter-demand intervals.
-
-    The first interval counts from the start of the series (position of
-    the first demand, 1-based); later ones are gaps between demands.
-    """
+def _smoothed(y: np.ndarray, variant: str) -> tuple[list[np.ndarray], int]:
+    """The sequences to smooth, none without demand: demand sizes and the
+    intervals before them (the first from the start, 1-based), or ADIDA's
+    bucket sums and their width w."""
     positions = np.flatnonzero(y != 0)
-    sizes = y[positions]
+    if positions.size == 0:
+        return [], 1
     intervals = np.diff(np.concatenate(([-1], positions))).astype(float)
-    return sizes, intervals
+    if variant == "classic":
+        return [y[positions], intervals], 1
+    # ADIDA: end-aligned buckets so the most recent data is never dropped
+    w = max(1, int(floor(intervals.mean() + 0.5)))
+    usable = (len(y) // w) * w
+    return [y[len(y) - usable :].reshape(-1, w).sum(axis=1)], w
 
 
 def croston_fit(y: np.ndarray, variant: str = "classic") -> CrostonState:
     if variant not in ("classic", "adida"):
         raise ValueError(f"unknown croston variant {variant!r}")
-    sizes, intervals = _demand_points(y)
-    if sizes.size == 0:
-        return CrostonState(None, None, variant, 0.0)
-    if variant == "classic":
-        size_state = ses_fit(sizes, CROSTON_ALPHA)
-        interval_state = ses_fit(intervals, CROSTON_ALPHA)
-        rate = size_state.level / interval_state.level
-        return CrostonState(size_state, interval_state, variant, rate)
-    # ADIDA: end-aligned buckets so the most recent data is never dropped
-    w = max(1, int(floor(intervals.mean() + 0.5)))
-    usable = (len(y) // w) * w
-    buckets = y[len(y) - usable :].reshape(-1, w).sum(axis=1)
-    bucket_state = ses_fit(buckets, CROSTON_ALPHA)
-    return CrostonState(bucket_state, None, variant, bucket_state.level / w)
+    sequences, w = _smoothed(y, variant)
+    size, interval = ([ses_fit(seq, CROSTON_ALPHA) for seq in sequences] + [None, None])[:2]
+    rate = 0.0 if size is None else size.level / (w if interval is None else interval.level)
+    return CrostonState(size, interval, variant, rate)
 
 
 class Croston(Forecaster):
     name = "croston"
     variant = "classic"
 
-    def _forecast_series(self, y, m, h, levels):
-        state = croston_fit(y, self.variant)
-        return np.full(h, state.rate), None
+    def _forecast_block(self, Y, m, h, levels):
+        inputs = [_smoothed(y, self.variant) for y in Y]
+        ends = iter(_ses_levels([seq for seqs, _ in inputs for seq in seqs]))
+        # a size level over an interval level, or a bucket level over w
+        rates = [next(ends) / (next(ends) if len(seqs) == 2 else w) if seqs else 0.0
+                 for seqs, w in inputs]
+        return np.repeat(np.array(rates)[:, None], h, axis=1), None
+
+
+def _ses_levels(sequences: list[np.ndarray]) -> list[float]:
+    """``ses_fit(seq, CROSTON_ALPHA).level`` of each sequence.  Three or more
+    share one ``_smooth`` run, each left-padded with its first value: a padded
+    step has error 0 and keeps the level's bits.  Fewer run faster on floats."""
+    if len(sequences) <= 2:
+        return [_smooth(seq[1:], float(seq[0]), *SES_STATES)[1] for seq in sequences]
+    width = max(map(len, sequences))
+    padded = np.array([np.concatenate((np.full(width - len(q), q[0]), q)) for q in sequences])
+    return _smooth(padded[:, 1:].T, padded[:, 0], *SES_STATES)[1].tolist()
 
 
 class Adida(Croston):

@@ -143,7 +143,7 @@ def _initial_states(y, m, structures):
 def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi, fitted=None):
     """Additive error-correction recursion of ETS(A,*,*) over ``y``.
 
-    Weights and initial states are floats (one run) or equal-length arrays
+    Weights, initial states and ``y[t]`` are floats (one run) or arrays
     (one per row; ``seasonal`` is then a list of per-slot arrays); a row
     equals its scalar run bit for bit, as both do the same IEEE operations
     in order.  ``phi`` multiplies the slope: 0 without a trend, 1 undamped.
@@ -156,7 +156,7 @@ def _smooth(y, level, slope, seasonal, alpha, beta, gamma, phi, fitted=None):
     m = len(seasonal)
     sse = 0.0 * alpha  # zero in the shape of the weights
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, obs in enumerate(y.tolist()):
+        for t, obs in enumerate(y.tolist() if y.ndim == 1 else y):
             slot = t % m
             damped = phi * slope
             base = level + damped
