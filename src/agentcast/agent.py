@@ -87,6 +87,8 @@ class AgentConfig:
             raise ConfigError(f"candidate budget must be >= 1, got {self.budget}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
+        if self.step is not None and self.step < 1:
+            raise ConfigError(f"step must be >= 1, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,12 @@ def propose_candidates(features, config: AgentConfig | None = None) -> list[Cand
     return [Candidate(a, ASSUMPTION_NOTES[a]) for a in _rule_table(profile)[: config.budget]]
 
 
+def _leaderboard_rows(leaderboard: EvalReport) -> list[dict]:
+    """The leaderboard as JSON rows: model, rank, MASE and CRPS."""
+    return [{"model": s.model, "rank": s.rank, "mase": s.mase, "crps": s.crps}
+            for s in leaderboard.scores]
+
+
 @dataclass(frozen=True)
 class AgentResult:
     """Everything the pipeline produced, in the order it was produced."""
@@ -253,10 +261,7 @@ class AgentResult:
             "explanation": self.explanation,
             "user_query_response": self.user_query_response,
             "candidates": [{"alias": c.alias, "note": c.note} for c in self.candidates],
-            "leaderboard": [
-                {"model": s.model, "rank": s.rank, "mase": s.mase, "crps": s.crps}
-                for s in self.leaderboard.scores
-            ],
+            "leaderboard": _leaderboard_rows(self.leaderboard),
             "forecast": {
                 key: {
                     "ds": [format_timestamp(ts) for ts in entry.timestamps],
@@ -420,10 +425,7 @@ def _llm_explanation(profile, leaderboard, frame, h, llm_config, transport):
     context = {
         "profile": _profile_text(profile),
         "horizon": h,
-        "leaderboard": [
-            {"model": s.model, "rank": s.rank, "mase": s.mase, "crps": s.crps}
-            for s in leaderboard.scores
-        ],
+        "leaderboard": _leaderboard_rows(leaderboard),
         "interval_width_80pct": _interval_width(frame),
     }
     return _ask(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .adapters import resolve_models, serve_stub
 from .agent import AgentConfig, run_agent
 from .errors import AgentcastError
@@ -66,9 +68,10 @@ def _load_panel(args):
     )
 
 
-def _emit(text: str, path: str | None):
+def _emit(text: str, path: str | None, stream=None):
+    """Write ``text`` to ``path``, or else to ``stream`` (default stdout)."""
     if path is None:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
     else:
         with open(path, "w") as fp:
             fp.write(text)
@@ -131,19 +134,14 @@ def _cmd_agent(args) -> int:
         levels=args.levels,
     )
     result = run_agent(panel, query=args.query, h=args.h, config=config, llm_config=llm_config)
-    frame_csv = frames_to_csv([result.frame])
-    _emit(frame_csv, args.output)
+    _emit(frames_to_csv([result.frame]), args.output)
     report = (
         f"selected: {result.selected}\n"
         f"rationale: {result.rationale}\n"
         f"explanation: {result.explanation}\n"
         f"answer: {result.user_query_response}\n"
     )
-    if args.report is None:
-        sys.stderr.write(report)
-    else:
-        with open(args.report, "w") as fp:
-            fp.write(report)
+    _emit(report, args.report, sys.stderr)
     return 0
 
 
@@ -243,7 +241,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Overflow and invalid operations already end as typed errors or
+        # the naive fallback, so numpy's warnings would only add lines.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except AgentcastError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1

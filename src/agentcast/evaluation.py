@@ -29,6 +29,7 @@ from .panel import (
     DEFAULT_LEVELS,
     Series,
     SeriesPanel,
+    _csv_cell,
     _emit_csv,
     format_timestamp,
     level_column,
@@ -459,18 +460,13 @@ class EvalReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
-        def fmt(value):
-            return "" if value is None else f"{value:.12g}"
-
         lines = [self.csv_header()]
         for s in self.scores:
-            cells = [
-                s.model, str(s.rank), fmt(s.mase), fmt(s.crps), fmt(s.coverage),
-                str(s.failures), str(s.mase_excluded), str(s.crps_excluded),
-            ]
+            cells = [s.model, s.rank, s.mase, s.crps, s.coverage,
+                     s.failures, s.mase_excluded, s.crps_excluded]
             if self.levels is not None:
-                cells.extend(fmt(s.pinball_by_level.get(l)) for l in self.levels)
-            lines.append(",".join(cells))
+                cells.extend(s.pinball_by_level.get(l) for l in self.levels)
+            lines.append(",".join(map(_csv_cell, cells)))
         return _emit_csv(lines, path_or_buffer)
 
 

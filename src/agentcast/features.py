@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .panel import SeriesPanel
+from .panel import SeriesPanel, _csv_cell, _emit_csv
 
 # Centered moving-average window used for the trend when there is no
 # seasonal cycle (m = 1); must be odd.
@@ -202,21 +202,9 @@ class FeatureReport:
 
     def to_csv(self) -> str:
         names = [f.name for f in fields(FeatureRow)]
-        lines = [",".join(names)]
-        for row in self._rows.values():
-            cells = []
-            for name in names:
-                v = getattr(row, name)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, bool):
-                    cells.append(str(v).lower())
-                elif isinstance(v, float):
-                    cells.append(f"{v:.12g}")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = (",".join(_csv_cell(getattr(row, name)) for name in names)
+                for row in self._rows.values())
+        return _emit_csv([",".join(names), *rows])
 
 
 def compute_features(panel: SeriesPanel) -> FeatureReport:

@@ -13,7 +13,7 @@ from .arima import (
 )
 from .base import Forecaster, gaussian_quantiles
 from .baselines import SES, HistoricAverage, Naive, SeasonalNaive, SESState, ses_fit
-from .croston import Adida, Croston, CrostonState, croston_fit
+from .croston import Adida, Croston
 from .ets import AutoETS, ETSFit, ETSParams, ets_fit
 from .theta import Theta
 
@@ -50,7 +50,6 @@ __all__ = [
     "AutoARIMA",
     "AutoETS",
     "Croston",
-    "CrostonState",
     "ETSFit",
     "ETSParams",
     "Forecaster",
@@ -63,7 +62,6 @@ __all__ = [
     "Theta",
     "arima_fit",
     "available_models",
-    "croston_fit",
     "differencing_orders",
     "ets_fit",
     "forecast_arima",

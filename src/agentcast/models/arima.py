@@ -197,12 +197,12 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
     seasonal_ok = m > 1 and n >= 3 * m
     d, D = differencing_orders(y, m)
     u = y[m:] - y[:-m] if D else y
-    w = np.diff(u, n=d) if d else u
-
-    # the chain of partially differenced series, for integrating forecasts
+    # the chain of partially differenced series, for integrating forecasts;
+    # the fit runs on its last one
     chain = [u]
     for _ in range(d):
         chain.append(np.diff(chain[-1]))
+    w = chain[-1]
     use_intercept = (d + D) == 0
 
     start = [(2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]

@@ -62,6 +62,10 @@ class SESState:
     level: float
     residual_sd: float
 
+    def sigma(self, h: int) -> np.ndarray:
+        """ETS(A,N,N) forecast standard deviations of steps 1..h."""
+        return self.residual_sd * np.sqrt(1.0 + np.arange(h) * self.alpha**2)
+
 
 def ses_fit(y: np.ndarray, alpha: float | None = None) -> SESState:
     """Simple exponential smoothing; level starts at the first observation.
@@ -95,8 +99,4 @@ class SES(Forecaster):
     def _forecast_series(self, y, m, h, levels):
         state = ses_fit(y)
         mean = np.full(h, state.level)
-        if levels is None:
-            return mean, None
-        steps = np.arange(1, h + 1)
-        sigma = state.residual_sd * np.sqrt(1.0 + (steps - 1) * state.alpha**2)
-        return mean, gaussian_quantiles(mean, sigma, levels)
+        return mean, None if levels is None else gaussian_quantiles(mean, state.sigma(h), levels)

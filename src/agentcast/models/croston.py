@@ -4,32 +4,22 @@ Both emit flat point forecasts and no quantiles.  Classic Croston
 smooths nonzero demand sizes and inter-demand intervals separately
 (fixed alpha 0.1) and forecasts their ratio.  ADIDA aggregates the
 series into buckets sized by the mean inter-demand interval, smooths
-the bucket sums and disaggregates uniformly.  Each smoothing is SES
-(``ses_fit``: ETS(A,N,N) on the recursion AutoETS uses), its level
-starting at the first size, interval or bucket sum.
+the bucket sums and disaggregates uniformly.  Each smoothing is
+ETS(A,N,N) on the recursion AutoETS uses, its level starting at the
+first size, interval or bucket sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor
 
 import numpy as np
 
 from .base import Forecaster
-from .baselines import SESState, ses_fit
 from .ets import _smooth
 
 CROSTON_ALPHA = 0.1
 SES_STATES = (0.0, [0.0], CROSTON_ALPHA, 0.0, 0.0, 0.0)  # _smooth's arguments after the level
-
-
-@dataclass(frozen=True)
-class CrostonState:
-    size: SESState | None
-    interval: SESState | None
-    variant: str
-    rate: float
 
 
 def _smoothed(y: np.ndarray, variant: str) -> tuple[list[np.ndarray], int]:
@@ -46,15 +36,6 @@ def _smoothed(y: np.ndarray, variant: str) -> tuple[list[np.ndarray], int]:
     w = max(1, int(floor(intervals.mean() + 0.5)))
     usable = (len(y) // w) * w
     return [y[len(y) - usable :].reshape(-1, w).sum(axis=1)], w
-
-
-def croston_fit(y: np.ndarray, variant: str = "classic") -> CrostonState:
-    if variant not in ("classic", "adida"):
-        raise ValueError(f"unknown croston variant {variant!r}")
-    sequences, w = _smoothed(y, variant)
-    size, interval = ([ses_fit(seq, CROSTON_ALPHA) for seq in sequences] + [None, None])[:2]
-    rate = 0.0 if size is None else size.level / (w if interval is None else interval.level)
-    return CrostonState(size, interval, variant, rate)
 
 
 class Croston(Forecaster):

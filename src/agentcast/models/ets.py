@@ -65,10 +65,6 @@ class ETSParams:
             if abs(sum(self.initial_seasonal)) > 1e-6 * scale:
                 raise ValueError("initial seasonal states must sum to 0")
 
-    @property
-    def label(self) -> str:
-        return f"ETS(A,{self.trend},{self.season})"
-
 
 @dataclass(frozen=True)
 class ETSFit:

@@ -57,10 +57,7 @@ class Theta(Forecaster):
 
         k = np.arange(1, h + 1, dtype=float)
         mean = 0.5 * (intercept + slope * (n + k)) + 0.5 * state.level
-        quantiles = None
-        if levels is not None:
-            sigma = state.residual_sd * np.sqrt(1.0 + (k - 1) * state.alpha**2)
-            quantiles = gaussian_quantiles(mean, sigma, levels)
+        quantiles = None if levels is None else gaussian_quantiles(mean, state.sigma(h), levels)
 
         if indices is not None:
             future = indices[(np.arange(n, n + h)) % m]

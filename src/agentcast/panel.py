@@ -256,6 +256,16 @@ class SeriesPanel:
         return _emit_csv(rows, path_or_buffer)
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: empty for None, ``true``/``false``, a float at 12
+    significant digits (``nan`` and ``inf`` too), else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.12g" % value if isinstance(value, float) else str(value)
+
+
 def _emit_csv(lines: Sequence[str], path_or_buffer=None):
     """Join CSV lines; return the text, or write it to a stream or a path."""
     text = "\n".join(lines) + "\n"
@@ -317,11 +327,11 @@ def parse_panel(
     elif hasattr(source, "read"):
         lines = source
     else:
-        lines = open(source, "r")
+        lines = open(source, "r", encoding="utf-8")
 
     with_close = not hasattr(source, "read") or isinstance(source, bytes)
     try:
-        header_line = lines.readline()
+        header_line = lines.readline().removeprefix("\ufeff")  # a UTF-8 byte order mark
         if not header_line:
             raise SchemaError("empty input: missing header row")
         header = _split_csv_line(header_line)
@@ -485,10 +495,10 @@ class ForecastFrame:
         rows = []
         for key, e in self._entries.items():
             for i, (ts, mu) in enumerate(zip(e.timestamps, e.mean)):
-                cells = [key, format_timestamp(ts), self.model, f"{mu:.12g}"]
+                cells = [key, format_timestamp(ts), self.model, mu]
                 if self.levels is not None:
-                    cells.extend(f"{q:.12g}" for q in e.quantiles[i])
-                rows.append(",".join(cells))
+                    cells.extend(e.quantiles[i])
+                rows.append(",".join(map(_csv_cell, cells)))
         return rows
 
     def csv_header(self) -> str:
@@ -511,4 +521,4 @@ def frames_to_csv(frames: Sequence[ForecastFrame]) -> str:
             raise ValueError("frames disagree on quantile levels")
         rows = f.to_csv_rows()
         lines.extend(rows if f.levels is not None else (row + pad for row in rows))
-    return "\n".join(lines) + "\n"
+    return _emit_csv(lines)

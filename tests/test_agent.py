@@ -283,6 +283,11 @@ class TestRunAgent:
         with pytest.raises(ConfigError):
             run_agent(linear_panel(), config=AgentConfig(mode="llm"))
 
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_step_below_one_is_rejected_at_construction(self, step):
+        with pytest.raises(ConfigError, match=f"step must be >= 1, got {step}"):
+            AgentConfig(n_windows=2, step=step)
+
     def test_all_candidates_failing_raises_with_trace(self, monkeypatch):
         import agentcast.agent as agent_module
 

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import subprocess
 import sys
 import urllib.request
 
+import numpy as np
 import pytest
 
 from agentcast.cli import build_parser, main
+from agentcast.features import compute_features
 
-from conftest import TRUNCATED_REPLY, RawReplyServer, src_env
+from conftest import TRUNCATED_REPLY, RawReplyServer, make_panel, src_env
+from test_evaluation import seeded_month_end_panel
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +232,39 @@ class TestAgentCommand:
         assert code == 1
         assert err.startswith("error: runtime: ")
 
+    def test_zero_step_is_a_config_error(self, capsys, air_csv):
+        code, out, err = run_cli(
+            capsys, "agent", "--input", air_csv, "--windows", "2", "--step", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: config: step must be >= 1, got 0\n"
+
+
+class TestOverflowErrors:
+    """A series at 1e200 overflows every Gaussian model's variance.  The
+    failure is one error line: numpy's RuntimeWarnings are not printed.
+    A child process runs the CLI, as pytest would capture the warnings."""
+
+    @pytest.mark.parametrize("argv", [
+        *(["forecast", "--models", m, "--h", "6"]
+          for m in ("naive", "ses", "theta", "autoets", "autoarima")),
+        ["agent"],
+    ], ids=lambda argv: argv[2] if len(argv) > 1 else argv[0])
+    def test_stderr_is_one_error_line(self, tmp_path, argv):
+        path = tmp_path / "huge.csv"
+        path.write_text("unique_id,ds,y\n" + "".join(
+            f"s,{2000 + i // 12}-{i % 12 + 1:02d}-01,{float(1.0 + 0.5 * np.sin(i)) * 1e200!r}\n"
+            for i in range(48)
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "agentcast.cli", *argv, "--input", str(path)],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -305,3 +342,50 @@ class TestAdapterTransportFault:
         assert err.startswith("error: transport: ")
         assert err.count("\n") == 1
         assert server.requests == 3
+
+
+def mixed_features_panel():
+    """Short, constant, all-zero and trended series: the features CSV then
+    holds empty cells and both ``true`` and ``false``."""
+    t = np.arange(40, dtype=float)
+    return make_panel({
+        "short": [3.0, 1.0, 4.0, 1.0, 5.0],
+        "constant": [7.25] * 30,
+        "zero": [0.0] * 30,
+        "trended": list(20.0 + 1.7 * t + 4.0 * np.sin(t)),
+    })
+
+
+# SHA-256 of the features CSV and of a CLI run's stdout then stderr,
+# frozen before the three CSV writers shared one cell rule.
+FEATURES_CSV_DIGESTS = {
+    "air_passengers": "f796c06ceebb2087e6283882c4f4430f6c756a518f67976d566ae4d7b691a7df",
+    "month_end": "a63aedafcf54bf1ec1f86f38400d59975285df9387fc8fc30f690169fdfdd97a",
+    "mixed": "d5f55044431bd9477a3a898d9c091388934a1b7d92aec31b9bcf0084bc91da22",
+}
+CLI_OUTPUT_DIGESTS = {
+    "features": "e7a1ff6360d6251d5984ad0b56b8e04d0b244ce099f4a1e47e8698ae5b981385",
+    "agent": "708a8e7d4e5fb7be2f96f711543d47641e2b390e4c8b1d43fd344a29896469a7",
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("case", sorted(FEATURES_CSV_DIGESTS))
+    def test_features_csv_bytes_unchanged(self, case, air_passengers):
+        panel = {
+            "air_passengers": lambda: air_passengers,
+            "month_end": seeded_month_end_panel,
+            "mixed": mixed_features_panel,
+        }[case]()
+        text = compute_features(panel).to_csv()
+        if case == "mixed":
+            assert ",," in text and ",true," in text and ",false," in text
+        assert hashlib.sha256(text.encode()).hexdigest() == FEATURES_CSV_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(CLI_OUTPUT_DIGESTS))
+    def test_cli_output_bytes_unchanged(self, case, capsys, air_csv):
+        extra = ("--query", "peak") if case == "agent" else ()
+        code, out, err = run_cli(capsys, case, "--input", air_csv, *extra)
+        assert code == 0
+        digest = hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
+        assert digest == CLI_OUTPUT_DIGESTS[case]

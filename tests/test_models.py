@@ -21,7 +21,6 @@ from agentcast.models import (
     MODEL_REGISTRY,
     arima_fit,
     available_models,
-    croston_fit,
     differencing_orders,
     ets_fit,
     forecast_arima,
@@ -780,10 +779,9 @@ class TestCroston:
 
     def test_dense_series_reduces_to_ses(self):
         y = np.array([4.0, 6.0, 5.0, 7.0, 6.0])
-        state = croston_fit(y, "classic")
-        ses_state = ses_fit(y, alpha=0.1)
-        assert state.interval.level == 1.0
-        np.testing.assert_allclose(state.rate, ses_state.level)
+        entry = one(get_model("croston").forecast(make_panel({"s": list(y)}), 3))
+        # every interval is 1, so the rate is the size level, bit for bit
+        assert entry.mean.tolist() == [ses_fit(y, alpha=0.1).level] * 3
 
     def test_no_quantiles(self):
         panel = make_panel({"s": [0.0, 2.0, 0.0, 2.0, 0.0, 2.0]})
@@ -793,16 +791,16 @@ class TestCroston:
             assert one(frame).quantiles is None
 
     def test_adida_buckets_and_disaggregates(self):
-        y = np.array([0.0, 0.0, 6.0, 0.0, 0.0, 6.0])
-        state = croston_fit(y, "adida")
+        panel = make_panel({"s": [0.0, 0.0, 6.0, 0.0, 0.0, 6.0]})
+        entry = one(get_model("adida").forecast(panel, 2))
         # mean interval 3 -> bucket width 3 -> bucket sums [6, 6]
-        np.testing.assert_allclose(state.rate, 2.0)
+        np.testing.assert_allclose(entry.mean, [2.0, 2.0])
 
     def test_adida_keeps_most_recent_data(self):
         # width 2 on 5 points: the leading value is dropped, not the last
-        y = np.array([9.0, 0.0, 2.0, 0.0, 2.0])
-        state = croston_fit(y, "adida")
-        np.testing.assert_allclose(state.rate, 1.0)
+        panel = make_panel({"s": [9.0, 0.0, 2.0, 0.0, 2.0]})
+        entry = one(get_model("adida").forecast(panel, 2))
+        np.testing.assert_allclose(entry.mean, [1.0, 1.0])
 
 
 class TestSharedInvariants:

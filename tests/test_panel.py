@@ -218,6 +218,19 @@ class TestParsePanel:
         with pytest.raises(SchemaError, match="unique_id"):
             parse_csv_text("id,ds,y\na,2020-01-01,1\n")
 
+    @pytest.mark.parametrize("kind", ["bytes", "path", "stream"])
+    def test_utf8_byte_order_mark_is_ignored(self, kind, tmp_path):
+        # Excel's "CSV UTF-8" export starts with a byte order mark.
+        data = "\ufeffunique_id,ds,y\nZürich,2020-01-01,1\nZürich,2020-02-01,2\n"
+        data += "Zürich,2020-03-01,3\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data.encode("utf-8"))
+        source = {"bytes": data.encode("utf-8"), "path": str(path),
+                  "stream": io.StringIO(data)}[kind]
+        panel = parse_panel(source)
+        assert panel.keys() == ["Zürich"]
+        assert list(panel["Zürich"].values) == [1.0, 2.0, 3.0]
+
     def test_bad_timestamp_reports_row(self):
         text = "unique_id,ds,y\na,2020-01-01,1\na,notadate,2\n"
         with pytest.raises(ParseError, match="row 3"):
