@@ -26,7 +26,7 @@ import threading
 import time
 import urllib.parse
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
@@ -53,7 +53,6 @@ DEFAULT_TIMEOUT_S = 30.0
 @dataclass(frozen=True)
 class ModelSpec:
     alias: str
-    kind: str  # builtin | adapter | ensemble
     url: str | None = None
     timeout: float = DEFAULT_TIMEOUT_S
     max_retries: int = DEFAULT_MAX_RETRIES
@@ -61,9 +60,12 @@ class ModelSpec:
     members: tuple["ModelSpec", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("builtin", "adapter", "ensemble"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
         check_policy(self)
+
+    @property
+    def kind(self) -> str:
+        """adapter (a spec with a url), ensemble (with members) or builtin."""
+        return "adapter" if self.url is not None else "ensemble" if self.members else "builtin"
 
 
 def parse_model_alias(spec: str, **adapter_overrides) -> ModelSpec:
@@ -76,7 +78,7 @@ def parse_model_alias(spec: str, **adapter_overrides) -> ModelSpec:
         parsed = urllib.parse.urlparse(url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ConfigError(f"malformed adapter URL {url!r}")
-        return ModelSpec(alias=spec, kind="adapter", url=url.rstrip("/"), **adapter_overrides)
+        return ModelSpec(alias=spec, url=url.rstrip("/"), **adapter_overrides)
     if spec.startswith("median_ensemble:"):
         body = spec[len("median_ensemble:"):]
         names = [part for part in body.split("+") if part]
@@ -87,9 +89,9 @@ def parse_model_alias(spec: str, **adapter_overrides) -> ModelSpec:
             if name.startswith("median_ensemble:"):
                 raise ConfigError("nested ensembles are not supported")
             members.append(parse_model_alias(name, **adapter_overrides))
-        return ModelSpec(alias=spec, kind="ensemble", members=tuple(members))
+        return ModelSpec(alias=spec, members=tuple(members))
     get_model(spec)  # an unknown alias is an UnknownModelError
-    return ModelSpec(alias=spec, kind="builtin")
+    return ModelSpec(alias=spec)
 
 
 def resolve_model(spec: ModelSpec | str):
@@ -229,17 +231,8 @@ class EnsembleForecaster(Forecaster):
         return mean, quantiles, fallback
 
 
-class _StubState:
-    def __init__(self, alias: str):
-        self.alias = alias
-        self.lock = threading.Lock()
-        self.requests = 0
-        self.failures: deque[int] = deque()
-        self.delay_s = 0.0
-
-
 class _StubHandler(BaseHTTPRequestHandler):
-    state: _StubState  # set by the server factory
+    stub: "StubServer"  # bound by StubServer
 
     def log_message(self, *args):
         pass
@@ -256,20 +249,20 @@ class _StubHandler(BaseHTTPRequestHandler):
             pass  # client gave up (e.g. timed out); nothing to answer
 
     def do_GET(self):
-        state = self.state
-        with state.lock:
-            state.requests += 1
+        stub = self.stub
+        with stub.lock:
+            stub.requests += 1
         if self.path == "/health":
-            self._send(200, {"status": "ok", "model": state.alias})
+            self._send(200, {"status": "ok", "model": stub.alias})
         else:
             self._send(404, {"error": f"no such path {self.path}"})
 
     def do_POST(self):
-        state = self.state
-        with state.lock:
-            state.requests += 1
-            injected = state.failures.popleft() if state.failures else None
-            delay = state.delay_s
+        stub = self.stub
+        with stub.lock:
+            stub.requests += 1
+            injected = stub.failures.popleft() if stub.failures else None
+            delay = stub.delay_s
         if delay:
             time.sleep(delay)
         if injected is not None:
@@ -281,7 +274,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
             data = json.loads(self.rfile.read(length).decode("utf-8"))
-            response = _stub_forecast(state.alias, data)
+            response = _stub_forecast(stub.alias, data)
         except Exception as exc:
             self._send(400, {"error": str(exc)})
             return
@@ -322,13 +315,20 @@ class _QuietServer(ThreadingHTTPServer):
         pass  # dropped connections are expected in the timeout tests
 
 
-@dataclass
 class StubServer:
-    """Handle on a running stub; close() releases the port."""
+    """A running threaded stub mirroring the builtin model ``alias``;
+    close() releases the port."""
 
-    server: ThreadingHTTPServer
-    thread: threading.Thread
-    state: _StubState = field(repr=False)
+    def __init__(self, host: str, port: int, alias: str):
+        self.alias = alias
+        self.lock = threading.Lock()
+        self.requests = 0
+        self.failures: deque[int] = deque()
+        self.delay_s = 0.0
+        handler = type("BoundStubHandler", (_StubHandler,), {"stub": self})
+        self.server = _QuietServer((host, port), handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
 
     @property
     def url(self) -> str:
@@ -337,16 +337,16 @@ class StubServer:
 
     @property
     def request_count(self) -> int:
-        with self.state.lock:
-            return self.state.requests
+        with self.lock:
+            return self.requests
 
     def inject_failures(self, statuses: Sequence[int]) -> None:
-        with self.state.lock:
-            self.state.failures.extend(statuses)
+        with self.lock:
+            self.failures.extend(statuses)
 
     def set_delay(self, seconds: float) -> None:
-        with self.state.lock:
-            self.state.delay_s = seconds
+        with self.lock:
+            self.delay_s = seconds
 
     def close(self) -> None:
         self.server.shutdown()
@@ -357,9 +357,4 @@ class StubServer:
 def serve_stub(host: str = "127.0.0.1", port: int = 0, alias: str = "seasonalnaive") -> StubServer:
     """Start a threaded stub mirroring a builtin model; port 0 picks a free one."""
     get_model(alias)  # an unknown alias is an UnknownModelError before the port opens
-    state = _StubState(alias)
-    handler = type("BoundStubHandler", (_StubHandler,), {"state": state})
-    server = _QuietServer((host, port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return StubServer(server=server, thread=thread, state=state)
+    return StubServer(host, port, alias)

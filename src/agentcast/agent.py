@@ -309,7 +309,7 @@ def _default_summary(frame: ForecastFrame) -> str:
     total = float(_pooled_steps(frame, h).sum())
     mx = _extreme(frame, take_max=True)
     mn = _extreme(frame, take_max=False)
-    multi = len(frame.keys()) > 1
+    multi = len(frame) > 1
     where_max = f" ({mx[1]})" if multi else ""
     where_min = f" ({mn[1]})" if multi else ""
     text = (
@@ -378,7 +378,7 @@ def answer_query(
         return f"An average of {average:,.2f} per period over the next {n} periods."
     if "peak" in q or "max" in q or "highest" in q:
         value, key, ts = _extreme(frame, take_max=True)
-        where = f" (series {key})" if len(frame.keys()) > 1 else ""
+        where = f" (series {key})" if len(frame) > 1 else ""
         return f"The peak is {value:,.2f} at {format_timestamp(ts)}{where}."
     return _default_summary(frame)
 

@@ -26,6 +26,7 @@ from .panel import (
     DEFAULT_LEVELS,
     DEFAULT_TIME_COLUMN,
     DEFAULT_VALUE_COLUMN,
+    _emit_csv,
     frames_to_csv,
     parse_panel,
     validate_levels,
@@ -68,25 +69,17 @@ def _load_panel(args):
     )
 
 
-def _emit(text: str, path: str | None, stream=None):
-    """Write ``text`` to ``path``, or else to ``stream`` (default stdout)."""
-    if path is None:
-        (stream or sys.stdout).write(text)
-    else:
-        with open(path, "w") as fp:
-            fp.write(text)
-
-
 def _cmd_features(args) -> int:
     panel = _load_panel(args)
-    _emit(compute_features(panel).to_csv(), args.output)
+    _emit_csv(compute_features(panel).to_csv(), args.output or sys.stdout)
     return 0
 
 
 def _cmd_forecast(args) -> int:
     panel = _load_panel(args)
     forecasters = resolve_models([spec.strip() for spec in args.models.split(",")])
-    _emit(frames_to_csv([f.forecast(panel, args.h, args.levels) for f in forecasters]), args.output)
+    frames = [f.forecast(panel, args.h, args.levels) for f in forecasters]
+    _emit_csv(frames_to_csv(frames), args.output or sys.stdout)
     return 0
 
 
@@ -107,13 +100,13 @@ def _run_cv(args):
 
 def _cmd_crossval(args) -> int:
     _, cv = _run_cv(args)
-    _emit(cv.to_csv(), args.output)
+    cv.to_csv(args.output or sys.stdout)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     panel, cv = _run_cv(args)
-    _emit(aggregate_leaderboard(cv, panel).to_csv(), args.output)
+    aggregate_leaderboard(cv, panel).to_csv(args.output or sys.stdout)
     return 0
 
 
@@ -134,14 +127,14 @@ def _cmd_agent(args) -> int:
         levels=args.levels,
     )
     result = run_agent(panel, query=args.query, h=args.h, config=config, llm_config=llm_config)
-    _emit(frames_to_csv([result.frame]), args.output)
-    report = (
-        f"selected: {result.selected}\n"
-        f"rationale: {result.rationale}\n"
-        f"explanation: {result.explanation}\n"
-        f"answer: {result.user_query_response}\n"
-    )
-    _emit(report, args.report, sys.stderr)
+    _emit_csv(frames_to_csv([result.frame]), args.output or sys.stdout)
+    report = [
+        f"selected: {result.selected}",
+        f"rationale: {result.rationale}",
+        f"explanation: {result.explanation}",
+        f"answer: {result.user_query_response}",
+    ]
+    _emit_csv(report, args.report or sys.stderr)
     return 0
 
 
@@ -236,8 +229,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "agent" and args.mode != "llm" and (
+            (args.llm, args.endpoint, args.credential_var) != (None, None, None)
+        ):
+            parser.error("--llm, --endpoint and --credential-var need --mode llm")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

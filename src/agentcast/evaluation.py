@@ -134,9 +134,6 @@ class CrossValReport:
     def __len__(self) -> int:
         return self.yhat.size
 
-    def keys(self) -> list[str]:
-        return sorted(self.series)
-
     def _folds(self):
         """Per fold, in row order: model, key, cutoff, the series'
         timestamps, actuals, forecasts, quantile rows as lists (None for a
@@ -253,8 +250,7 @@ def cross_validate(
             plans.append(rolling_cutoffs(len(panel[key]), h, n_windows, step))
         except SeriesTooShortError as exc:
             raise SeriesTooShortError(f"series {key!r}: {exc}") from None
-    step_val = h if step is None else int(step)
-    h, n_windows = int(h), int(n_windows)
+    h, n_windows, step = plans[0].h, plans[0].n_windows, plans[0].step
 
     shape = (len(forecasters), len(keys), n_windows)
     cutoffs = np.array([plan.cutoffs for plan in plans], dtype=int)
@@ -329,7 +325,7 @@ def cross_validate(
     listed = len(names)
     return CrossValReport(
         tuple(names), keys, tuple(panel[key].timestamps for key in keys), cutoffs, y,
-        yhat[:listed], tuple(quantiles[:listed]), failed[:listed], levels, h, n_windows, step_val,
+        yhat[:listed], tuple(quantiles[:listed]), failed[:listed], levels, h, n_windows, step,
     )
 
 

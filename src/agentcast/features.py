@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .panel import SeriesPanel, _csv_cell, _emit_csv
+from .panel import SeriesPanel, _csv_cell, _emit_csv, _Keyed
 
 # Centered moving-average window used for the trend when there is no
 # seasonal cycle (m = 1); must be odd.
@@ -182,28 +182,13 @@ class FeatureRow:
     coefficient_of_variation: float | None
 
 
-class FeatureReport:
+class FeatureReport(_Keyed):
     """One FeatureRow per series, keyed like the panel."""
-
-    def __init__(self, rows: dict[str, FeatureRow]):
-        self._rows = {key: rows[key] for key in sorted(rows)}
-
-    def keys(self) -> list[str]:
-        return list(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, key: str) -> FeatureRow:
-        return self._rows[key]
-
-    def items(self):
-        return iter(self._rows.items())
 
     def to_csv(self) -> str:
         names = [f.name for f in fields(FeatureRow)]
         rows = (",".join(_csv_cell(getattr(row, name)) for name in names)
-                for row in self._rows.values())
+                for row in self._entries.values())
         return _emit_csv([",".join(names), *rows])
 
 

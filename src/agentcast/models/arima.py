@@ -170,21 +170,23 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
     }
 
 
+def _differencing_chain(y: np.ndarray, m: int) -> tuple[int, list[np.ndarray]]:
+    """D and the chain of differenced series: the seasonally differenced
+    (D = 1) or plain series, then one regular difference per element while
+    KPSS rejects level stationarity (d = len(chain) - 1 <= MAX_D)."""
+    seasonal_ok = m > 1 and len(y) >= 3 * m
+    D = int(seasonal_ok and seasonal_strength(decompose(y, m)) >= SEASONAL_STRENGTH_D)
+    chain = [y[m:] - y[:-m] if D else y]
+    while len(chain) <= MAX_D and not kpss_statistic(chain[-1])[1]:
+        chain.append(np.diff(chain[-1]))
+    return D, chain
+
+
 def differencing_orders(y: np.ndarray, m: int) -> tuple[int, int]:
     """(d, D): one seasonal difference when seasonal strength >= 0.64,
     then regular differences while KPSS rejects level stationarity."""
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    seasonal_ok = m > 1 and n >= 3 * m
-    D = 0
-    if seasonal_ok and seasonal_strength(decompose(y, m)) >= SEASONAL_STRENGTH_D:
-        D = 1
-    w = y[m:] - y[:-m] if D else y
-    d = 0
-    while d < MAX_D and not kpss_statistic(w)[1]:
-        w = np.diff(w)
-        d += 1
-    return d, D
+    D, chain = _differencing_chain(np.asarray(y, dtype=float), m)
+    return len(chain) - 1, D
 
 
 def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
@@ -195,14 +197,10 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
             f"auto ARIMA needs at least 20 observations, got {n}"
         )
     seasonal_ok = m > 1 and n >= 3 * m
-    d, D = differencing_orders(y, m)
-    u = y[m:] - y[:-m] if D else y
     # the chain of partially differenced series, for integrating forecasts;
     # the fit runs on its last one
-    chain = [u]
-    for _ in range(d):
-        chain.append(np.diff(chain[-1]))
-    w = chain[-1]
+    D, chain = _differencing_chain(y, m)
+    d, w = len(chain) - 1, chain[-1]
     use_intercept = (d + D) == 0
 
     start = [(2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]

@@ -77,16 +77,15 @@ class ETSFit:
     n_obs: int
     candidates: tuple[tuple[str, float], ...]
 
+    @property
+    def _phi(self) -> float:
+        """The slope multiplier: 0 without a trend, 1 undamped, else phi."""
+        return {"N": 0.0, "A": 1.0, "Ad": self.params.phi}[self.params.trend]
+
     def forecast_mean(self, h: int) -> np.ndarray:
         p = self.params
         k = np.arange(1, h + 1, dtype=float)
-        if p.trend == "N":
-            growth = np.zeros(h)
-        elif p.trend == "A":
-            growth = k * self.final_slope
-        else:
-            growth = np.cumsum(p.phi**k) * self.final_slope
-        mean = self.final_level + growth
+        mean = self.final_level + np.cumsum(self._phi**k) * self.final_slope
         if p.season == "A":
             m = len(self.final_seasonal)
             mean = mean + self.final_seasonal[(self.n_obs + np.arange(h)) % m]
@@ -104,7 +103,7 @@ class ETSFit:
         alpha = p.alpha
         beta = p.beta or 0.0
         gamma = p.gamma or 0.0
-        phi = {"N": 0.0, "A": 1.0, "Ad": p.phi}[p.trend]
+        phi = self._phi
         paths = np.empty((N_SIM_PATHS, h))
         for k in range(h):
             slot = (self.n_obs + k) % m

@@ -178,7 +178,30 @@ class Series:
         return len(self.values)
 
 
-class SeriesPanel:
+class _Keyed:
+    """Read-only mapping in sorted key order: ``keys``, ``items``, ``[]``,
+    ``len`` and ``in``."""
+
+    def __init__(self, entries: Mapping):
+        self._entries = {key: entries[key] for key in sorted(entries)}
+
+    def keys(self) -> list[str]:
+        return list(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+    def __getitem__(self, key: str):
+        return self._entries[key]
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self._entries.items())
+
+
+class SeriesPanel(_Keyed):
     """Immutable keyed collection of series sharing one frequency."""
 
     def __init__(self, series: Mapping[str, Series], freq: Frequency | None):
@@ -206,7 +229,7 @@ class SeriesPanel:
                     f"series {key!r}: timestamps are not regular on the "
                     f"{freq.name} grid"
                 )
-        self._series = {key: series[key] for key in sorted(series)}
+        super().__init__(series)
         self._freq = freq
 
     @property
@@ -216,21 +239,6 @@ class SeriesPanel:
     @property
     def season_length(self) -> int:
         return self._freq.season_length if self._freq else 1
-
-    def keys(self) -> list[str]:
-        return list(self._series)
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._series
-
-    def __getitem__(self, key: str) -> Series:
-        return self._series[key]
-
-    def items(self) -> Iterator[tuple[str, Series]]:
-        return iter(self._series.items())
 
     def equals(self, other: "SeriesPanel") -> bool:
         if self.keys() != other.keys():
@@ -250,7 +258,7 @@ class SeriesPanel:
     def to_csv(self, path_or_buffer=None):
         """Write the panel in long format; values at full (repr) precision."""
         rows = [f"{DEFAULT_ID_COLUMN},{DEFAULT_TIME_COLUMN},{DEFAULT_VALUE_COLUMN}"]
-        for key, s in self._series.items():
+        for key, s in self._entries.items():
             for ts, v in zip(s.timestamps, s.values):
                 rows.append(f"{key},{format_timestamp(ts)},{float(v)!r}")
         return _emit_csv(rows, path_or_buffer)
@@ -266,15 +274,16 @@ def _csv_cell(value) -> str:
     return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _emit_csv(lines: Sequence[str], path_or_buffer=None):
-    """Join CSV lines; return the text, or write it to a stream or a path."""
-    text = "\n".join(lines) + "\n"
+def _emit_csv(lines: Sequence[str] | str, path_or_buffer=None):
+    """Join lines (or take a finished text); return the text, or write it to
+    a stream or, as UTF-8, to a path."""
+    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
     if path_or_buffer is None:
         return text
     if hasattr(path_or_buffer, "write"):
         path_or_buffer.write(text)
     else:
-        with open(path_or_buffer, "w") as fp:
+        with open(path_or_buffer, "w", encoding="utf-8") as fp:
             fp.write(text)
     return None
 
@@ -451,7 +460,7 @@ def _check_finite(mean, quantiles, model: str, key: str) -> None:
         raise NonFiniteForecastError(f"{model} gave a non-finite forecast for series {key!r}")
 
 
-class ForecastFrame:
+class ForecastFrame(_Keyed):
     """Per-series horizon forecasts of a single model."""
 
     def __init__(
@@ -474,18 +483,9 @@ class ForecastFrame:
             for key, e in entries.items():
                 if e.quantiles is not None:
                     raise ValueError(f"entry {key!r} carries quantiles but no levels")
+        super().__init__(entries)
         self.model = model
         self.levels = levels
-        self._entries = {key: entries[key] for key in sorted(entries)}
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-    def __getitem__(self, key: str) -> ForecastEntry:
-        return self._entries[key]
-
-    def items(self) -> Iterator[tuple[str, ForecastEntry]]:
-        return iter(self._entries.items())
 
     def horizon(self) -> int:
         first = next(iter(self._entries.values()))

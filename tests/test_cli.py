@@ -9,6 +9,7 @@ import pytest
 
 from agentcast.cli import build_parser, main
 from agentcast.features import compute_features
+from agentcast.panel import parse_panel
 
 from conftest import TRUNCATED_REPLY, RawReplyServer, make_panel, src_env
 from test_evaluation import seeded_month_end_panel
@@ -266,7 +267,45 @@ class TestOverflowErrors:
         assert done.stderr.startswith("error: ")
 
 
+class TestUtf8Output:
+    """Output paths are written as UTF-8, the encoding parse_panel reads,
+    whatever the locale: the child runs in the C locale without UTF-8 mode."""
+
+    def test_series_id_round_trips_under_c_locale(self, tmp_path):
+        source, forecast, copy = (tmp_path / name for name in ("in.csv", "fc.csv", "copy.csv"))
+        source.write_text("unique_id,ds,y\n" + "".join(
+            f"caf\u00e9,2000-{month:02d}-01,{month}.0\n" for month in range(1, 7)
+        ), encoding="utf-8")
+        env = dict(src_env(), PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+        for argv in (
+            ["-m", "agentcast.cli", "forecast", "--input", str(source), "--models", "naive",
+             "--h", "2", "--levels", "none", "--output", str(forecast)],
+            ["-c", "import sys; from agentcast.panel import parse_panel; "
+             "parse_panel(sys.argv[1]).to_csv(sys.argv[2])", str(source), str(copy)],
+        ):
+            done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+        assert parse_panel(str(forecast), value_column="mean", freq="M").keys() == ["caf\u00e9"]
+        assert parse_panel(str(copy)).equals(parse_panel(str(source)))
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("flags", [
+        ["--llm", "openai:gpt-4o"],
+        ["--endpoint", "http://127.0.0.1:9/v1"],
+        ["--credential-var", "AGENTCAST_KEY"],
+        ["--mode", "deterministic", "--llm", "openai:gpt-4o", "--endpoint",
+         "http://127.0.0.1:9/v1", "--credential-var", "AGENTCAST_KEY"],
+    ], ids=["llm", "endpoint", "credential-var", "all"])
+    def test_llm_flags_need_llm_mode(self, capsys, tmp_path, flags):
+        # a usage error before the input is read: the path does not exist
+        code, out, err = run_cli(capsys, "agent", "--input", str(tmp_path / "absent.csv"), *flags)
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: usage: --llm, --endpoint and --credential-var need --mode llm"
+        ]
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "bogus")
         assert code == 2

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from agentcast.models import (
 from agentcast.models.arima import _fit_candidate, _roots_outside
 from agentcast.models.base import _EXPM2, _ndtri, _z_scores, gaussian_quantiles
 from agentcast.models.ets import SEASONS, TRENDS, _smooth
-from agentcast.panel import DEFAULT_LEVELS, future_grid
+from agentcast.panel import DEFAULT_LEVELS, future_grid, parse_panel
 
 from conftest import TypeErrorForecaster, make_panel, parse_monthly
 
@@ -801,6 +803,43 @@ class TestCroston:
         panel = make_panel({"s": [9.0, 0.0, 2.0, 0.0, 2.0]})
         entry = one(get_model("adida").forecast(panel, 2))
         np.testing.assert_allclose(entry.mean, [1.0, 1.0])
+
+
+def bench_agent_series(seeds):
+    """Every series of the benchmark generator's agent panels at ``seeds``,
+    as (key, values); bench/gen.py is imported from this checkout, not copied."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed in seeds:
+        for _, text in gen.agent_panels(seed):
+            yield from ((key, series.values) for key, series in parse_panel(text.encode()).items())
+
+
+class TestModelRuleBytes:
+    def test_differencing_and_ets_rules_are_frozen(self, air_passengers):
+        # One SHA-256 over differencing_orders, the ETS mean and the ETS
+        # simulated quantiles (or the class of the error a call raised) on
+        # AirPassengers and the benchmark's agent panels at seeds 111-113.
+        cases = [("AirPassengers", air_passengers["AirPassengers"].values)]
+        cases += bench_agent_series((111, 112, 113))
+        parts = []
+        for key, y in cases:
+            parts.append(key.encode())
+            for call in (
+                lambda: repr(differencing_orders(y, 12)).encode(),
+                lambda: ets_fit(y, 12).forecast_mean(12).tobytes(),
+                lambda: ets_fit(y, 12).simulate_quantiles(12, DEFAULT_LEVELS).tobytes(),
+            ):
+                try:
+                    parts.append(call())
+                except Exception as exc:
+                    parts.append(type(exc).__name__.encode())
+        assert len(cases) > 100
+        assert sha256_of(*parts) == (
+            "2a51b8e7621bb10afd2f4eddce9c2f47e7a8bf4b5f3dee3c8cae297fce4e5213"
+        )
 
 
 class TestSharedInvariants:

@@ -15,8 +15,10 @@ from agentcast.errors import (
     SchemaError,
     SeriesTooShortError,
 )
+from agentcast.features import FeatureReport, compute_features
 from agentcast.models import get_model
 from agentcast.panel import (
+    ForecastFrame,
     Frequency,
     Series,
     SeriesPanel,
@@ -375,6 +377,35 @@ class TestFramesToCsv:
         assert frames_to_csv([croston, a]).splitlines()[0] == a.csv_header()
         with pytest.raises(ValueError, match="disagree on quantile levels"):
             frames_to_csv([a, croston, b])
+
+
+def keyed_container(name):
+    """(values by key, constructor) of one keyed container class."""
+    panel = make_panel({key: [1.0, 2.0, 3.0, 4.0] for key in ("b", "c", "a")})
+    return {
+        "SeriesPanel": (panel, lambda entries: SeriesPanel(entries, panel.freq)),
+        "FeatureReport": (compute_features(panel), FeatureReport),
+        "ForecastFrame": (
+            get_model("naive").forecast(panel, 2, None),
+            lambda entries: ForecastFrame("naive", entries, None),
+        ),
+    }[name]
+
+
+class TestKeyedContainers:
+    # SeriesPanel, FeatureReport and ForecastFrame share one read-only
+    # mapping protocol in sorted key order.
+    @pytest.mark.parametrize("name", ["SeriesPanel", "FeatureReport", "ForecastFrame"])
+    def test_sorted_mapping_protocol(self, name):
+        values, build = keyed_container(name)
+        container = build({key: values[key] for key in ("b", "c", "a")})
+        assert container.keys() == ["a", "b", "c"]
+        assert list(container.items()) == [
+            ("a", values["a"]), ("b", values["b"]), ("c", values["c"])
+        ]
+        assert all(container[key] is values[key] for key in ("a", "b", "c"))
+        assert len(container) == 3
+        assert "c" in container and "d" not in container
 
 
 class TestSeriesPanelValues:
