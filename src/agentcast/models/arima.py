@@ -3,24 +3,28 @@
 Differencing orders come first: one seasonal difference when the
 seasonal strength is high, then regular differences while the KPSS
 test keeps rejecting level stationarity (d <= 2).  A stepwise search
-over small (p,q)(P,Q) orders fits each candidate by Nelder-Mead on the
-conditional sum of squares and scores it with AICc; non-stationary or
-non-invertible fits are skipped.  The four start-set orders start from
-zeros.  Each neighbour starts from the fit that was best when its pass
-began, every lag block (AR, MA, SAR, SMA) cut or zero-padded and the
-intercept copied, so a neighbour's fit depends on the search path.  Each
-CSS objective call is one ``convolve`` (the AR half) plus one IIR
-``lfilter`` (the MA half, none for a pure AR order).  Forecast variance
-accumulates psi-weights of the fitted (integrated) lag polynomials.
+over small (p,q)(P,Q) orders fits each candidate by Levenberg-Marquardt
+on the conditional sum of squares residuals and scores it with AICc;
+non-stationary or non-invertible fits are skipped.  The LM loop is
+numpy, not scipy's MINPACK: the fit must repeat byte for byte, and
+MINPACK's steps (scipy 1.17) on the ill-conditioned Jacobians of
+near-cancelling AR and MA terms differ between calls with equal inputs.
+The four start-set orders fit from zeros.  Each neighbour fits twice,
+from zeros and from the fit that was best when its pass began (every lag
+block, AR, MA, SAR and SMA, cut or zero-padded and the intercept copied),
+and keeps the valid fit with the lower AICc: either start can settle in a
+worse local minimum than the other.  Each residual evaluation is one
+``convolve`` (the AR half) plus one IIR ``lfilter`` (the MA half, none
+for a pure AR order).  Forecast variance accumulates psi-weights of the
+fitted (integrated) lag polynomials.
 
-scipy's optimizer and filter (most of a cold ``import agentcast``) are
-imported by each candidate fit and by the forecast, not here; the objective,
-run thousands of times per fit, is handed the filter instead.
+scipy's filter (most of a cold ``import agentcast``) is imported by each
+candidate fit and by the forecast, not here; the residuals, evaluated
+hundreds of times per fit, are handed the filter instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,13 @@ MAX_D = 2
 SEASONAL_STRENGTH_D = 0.64
 ROOT_MARGIN = 1e-6
 _ONE = np.ones(1)
+# Levenberg-Marquardt: forward-difference step, relative tolerances on the
+# sum of squares and on the step, iteration and damping limits
+LM_DIFF_STEP = np.sqrt(np.finfo(float).eps)
+LM_FTOL = 1e-8
+LM_XTOL = 1e-8
+LM_MAX_ITER = 100
+LM_MAX_DAMPING = 1e16
 
 
 @dataclass(frozen=True)
@@ -120,10 +131,52 @@ def _roots_outside(poly: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0 + ROOT_MARGIN))
 
 
+def _levenberg_marquardt(residuals, x):
+    """Least squares by Levenberg-Marquardt (Moré 1978): forward-difference
+    Jacobian, damping scaled by its column norms, a step accepted only when
+    it lowers the sum of squares.  Returns the last accepted point, or the
+    start when the sum of squares or the gradient is not finite."""
+    f = residuals(x)
+    cost = f @ f
+    if not np.isfinite(cost):
+        return x
+    damping = 1e-3
+    for _ in range(LM_MAX_ITER):
+        jac = np.empty((len(f), len(x)))
+        for i in range(len(x)):
+            step = x.copy()
+            step[i] += LM_DIFF_STEP * max(abs(x[i]), 1.0)
+            jac[:, i] = (residuals(step) - f) / (step[i] - x[i])
+        gradient = jac.T @ f
+        if not (np.all(np.isfinite(gradient)) and np.any(gradient)):
+            return x
+        scale = np.diag(np.sqrt(np.einsum("ij,ij->j", jac, jac)))
+        rhs = np.r_[-f, np.zeros(len(x))]
+        while True:
+            # min |jac dx + f|^2 + damping |scale dx|^2, as one least squares
+            damped = np.vstack([jac, np.sqrt(damping) * scale])
+            dx = np.linalg.lstsq(damped, rhs, rcond=None)[0]
+            f_new = residuals(x + dx)
+            cost_new = f_new @ f_new
+            if cost_new < cost:
+                break
+            damping *= 10.0
+            if damping > LM_MAX_DAMPING:
+                return x
+        done = (cost - cost_new <= LM_FTOL * cost
+                or np.sqrt(dx @ dx) <= LM_XTOL * (np.sqrt(x @ x) + LM_XTOL))
+        x, f, cost = x + dx, f_new, cost_new
+        damping = max(damping / 10.0, 1e-12)
+        if done:
+            return x
+    return x
+
+
 def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
-    """CSS fit of one order, from zeros or from the ``start`` fit's
-    coefficients; returns None when invalid or not estimable."""
-    from scipy.optimize import minimize
+    """CSS fit of one order by Levenberg-Marquardt from zeros; with a
+    ``start`` fit, also from its coefficients, keeping the valid fit with the
+    lower AICc.  Returns None when no fit is valid or the order is not
+    estimable."""
     from scipy.signal import lfilter
     n_coef = p + q + P + Q + (1 if use_intercept else 0)
     burn = p + m * P
@@ -133,41 +186,46 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
 
     polys = _lag_polys(p, q, P, Q, m)
 
-    def objective(params):
+    def residuals(params):
         c = params[-1] if use_intercept else 0.0
-        e = _css_residuals(w, *polys(params), c, lfilter)[burn:]
-        css = float(np.add.reduce(e * e))
-        return css if math.isfinite(css) else 1e300
+        return _css_residuals(w, *polys(params), c, lfilter)[burn:]
+
+    def fit_from(x0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = _levenberg_marquardt(residuals, x0)
+        c = params[-1] if use_intercept else 0.0
+        # copies: the other start's fit rewrites polys' arrays in place
+        ar_poly, ma_poly = (poly.copy() for poly in polys(params))
+        if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
+            return None
+        eps = _css_residuals(w, ar_poly, ma_poly, c, lfilter)
+        css = float(np.sum(eps[burn:] ** 2))
+        if not np.isfinite(css):
+            return None
+        return {
+            "aicc": _aicc(css, n_eff, n_coef + 1),  # plus the innovation variance
+            "sigma2": max(css / n_eff, SIGMA2_FLOOR), "c": c if use_intercept else None,
+            "ar": params[:p], "ma": params[p : p + q],
+            "sar": params[p + q : p + q + P], "sma": params[p + q + P : p + q + P + Q],
+            "ar_poly": ar_poly, "ma_poly": ma_poly, "eps": eps,
+        }
 
     x0 = np.zeros(n_coef)
     if use_intercept:
-        x0[-1] = w.mean() if start is None else start["c"]
-    if start is not None:
-        for at, k, key in ((0, p, "ar"), (p, q, "ma"), (p + q, P, "sar"), (p + q + P, Q, "sma")):
-            n = min(k, len(start[key]))
-            x0[at : at + n] = start[key][:n]
-    if n_coef:
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-10})
-        params = res.x
-    else:
-        params = x0
-    c = params[-1] if use_intercept else 0.0
-    ar_poly, ma_poly = polys(params)
-    if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
-        return None
-    eps = _css_residuals(w, ar_poly, ma_poly, c, lfilter)
-    css = float(np.sum(eps[burn:] ** 2))
-    if not np.isfinite(css):
-        return None
-    return {
-        "aicc": _aicc(css, n_eff, n_coef + 1),  # plus the innovation variance
-        "sigma2": max(css / n_eff, SIGMA2_FLOOR), "c": c if use_intercept else None,
-        "ar": params[:p], "ma": params[p : p + q],
-        "sar": params[p + q : p + q + P], "sma": params[p + q + P : p + q + P + Q],
-        "ar_poly": ar_poly, "ma_poly": ma_poly, "eps": eps,
-    }
+        x0[-1] = w.mean()
+    fit = fit_from(x0)
+    if start is None:
+        return fit
+    x0 = x0.copy()
+    if use_intercept:
+        x0[-1] = start["c"]
+    for at, k, key in ((0, p, "ar"), (p, q, "ma"), (p + q, P, "sar"), (p + q + P, Q, "sma")):
+        n = min(k, len(start[key]))
+        x0[at : at + n] = start[key][:n]
+    warm = fit_from(x0)
+    if fit is None or (warm is not None and warm["aicc"] < fit["aicc"]):
+        return warm
+    return fit
 
 
 def _differencing_chain(y: np.ndarray, m: int) -> tuple[int, list[np.ndarray]]:

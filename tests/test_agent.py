@@ -20,7 +20,7 @@ from agentcast.errors import AgentError, ConfigError, RequestError
 from agentcast.features import compute_features
 from agentcast.llm import LLMConfig
 from agentcast.models import available_models
-from agentcast.panel import ForecastEntry, ForecastFrame, Frequency, future_grid
+from agentcast.panel import ForecastEntry, ForecastFrame, Frequency, frames_to_csv, future_grid
 
 from conftest import make_panel
 from test_llm import StubTransport, completion, tool_completion
@@ -452,11 +452,22 @@ class TestRunAgent:
         assert len(payload["forecast"]["AirPassengers"]["mean"]) == 12
         assert payload["trace"] == list(ap_result.trace)
 
+    def test_air_passengers_forecast_bytes_are_frozen(self, air_passengers):
+        # autoets wins the leaderboard's CRPS by a thin margin over autoarima
+        # (0.022532 against 0.022746), so an ARIMA fit change can flip it.
+        result = run_agent(air_passengers, h=12)
+        csv = frames_to_csv([result.frame]).encode()
+        assert (result.selected, hashlib.sha256(csv).hexdigest()) == (
+            "autoets",
+            "8c6dbbccd6cc3aab2fc22cc14e563423d672e66c7e4becf9268d99802706df63",
+        )
+
     def test_llm_wire_bytes_are_frozen(self, monkeypatch, air_passengers):
         # Two llm-mode runs: one valid tool reply, one with only unknown
         # aliases (rule-table fallback). The digest covers the URL, the raw
         # body and the sorted headers of all six requests, then both
-        # results' JSON.
+        # results' JSON.  Re-frozen when the ARIMA fit moved to
+        # Levenberg-Marquardt: the fallback run's autoarima MASE and CRPS.
         digest = hashlib.sha256()
 
         def transport(url, body, headers, timeout):
@@ -482,5 +493,5 @@ class TestRunAgent:
             assert replies == []
             digest.update(result.to_json().encode())
         assert digest.hexdigest() == (
-            "a864fd42f9ba749bfb77a3592630cf201e7531db2d92e37d95cac97bb6e638a9"
+            "c17f4f28f0903166773eaec22bbcb83cea6174db29023884585e2b0c38b27fea"
         )
