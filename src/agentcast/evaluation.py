@@ -469,54 +469,72 @@ class EvalReport:
 def _mase_scales(cv, panel):
     """[series, fold] MASE scales shared by every model: the training
     window's mean absolute lag-m difference (lag 1 for a window of at most
-    m points), NaN where undefined: zero, not finite, or a 1-point window."""
+    m points), NaN where undefined: zero, not finite, or a 1-point window.
+
+    Series are grouped by (length, cutoffs); a group's scales at a fold are
+    one row mean over the prefix of its block of lag differences."""
     m, scales = panel.season_length, np.full(cv.cutoffs.shape, np.nan)
+    groups = {}
     for si, key in enumerate(cv.series):
-        values = panel[key].values
-        diffs = {lag: np.abs(values[lag:] - values[:-lag]) for lag in (1, m)}
-        for fi, cutoff in enumerate(cv.cutoffs[si].tolist()):
-            lag = m if cutoff > m else 1
-            if cutoff > lag:  # the window's differences prefix the series'
-                scale = float(np.mean(diffs[lag][: cutoff - lag]))
-                if scale != 0.0 and np.isfinite(scale):
-                    scales[si, fi] = scale
+        groups.setdefault((len(panel[key]), tuple(cv.cutoffs[si].tolist())), []).append(si)
+    for (_, cutoffs), rows in groups.items():
+        Y = np.array([panel[cv.series[si]].values for si in rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = {lag: np.abs(Y[:, lag:] - Y[:, :-lag]) for lag in (1, m)}
+            for fi, cutoff in enumerate(cutoffs):
+                lag = m if cutoff > m else 1
+                if cutoff > lag:  # the window's differences prefix the series'
+                    scale = diffs[lag][:, : cutoff - lag].mean(axis=1)
+                    scale[(scale == 0.0) | ~np.isfinite(scale)] = np.nan
+                    scales[rows, fi] = scale
     return scales
 
 
 def _score_model(cv, model_index, scales):
+    """One model's leaderboard line.  A series' MASE and normalized CRPS
+    are row means over its (fold, step) block; a series whose folds only
+    partly failed averages its successful folds on its own, since its
+    reductions run over fewer cells."""
     ok = ~cv.failed[model_index]
     yhat, q, levels = cv.yhat[model_index], cv.quantiles[model_index], cv.levels
     has_quantiles = levels is not None and q is not None and bool(ok.any())
 
     # Over the series with a successful fold: per-fold MASE averaged within
     # the series, and the series' pooled CRPS over its mean absolute actual.
-    rows = np.flatnonzero(ok.any(axis=1))
+    rows = ok.any(axis=1)
+    partly = np.flatnonzero(rows & ~ok.all(axis=1))
     fold_mase, scored = np.abs(cv.y - yhat).mean(axis=-1) / scales, ok & ~np.isnan(scales)
-    series_mase = [float(np.mean(fold_mase[si, scored[si]])) for si in rows if scored[si].any()]
-    normalized, pinball_by_level, coverage_value = [], {}, None
+    series_mase = fold_mase.mean(axis=1)
+    for si in np.flatnonzero(scored.any(axis=1) & ~scored.all(axis=1)):
+        series_mase[si] = np.mean(fold_mase[si, scored[si]])
+    series_mase = series_mase[scored.any(axis=1)]
+    normalized, pinball_by_level, coverage_value = np.empty(0), {}, None
     if has_quantiles:
         losses = _pinball_losses(cv.y[..., None] - q, np.asarray(levels, dtype=float))
-        crps, abs_y = (2.0 / len(levels)) * losses.sum(axis=-1), np.abs(cv.y)
-        for si in rows:
-            normalizer = float(np.mean(abs_y[si, ok[si]]))
-            if normalizer != 0.0:
-                normalized.append(float(np.mean(crps[si, ok[si]])) / normalizer)
+        crps = (2.0 / len(levels)) * losses.sum(axis=-1)
+        series_crps, normalizer = (a.reshape(len(a), -1).mean(axis=1) for a in (crps, np.abs(cv.y)))
+        for si in partly:
+            series_crps[si] = np.mean(crps[si, ok[si]])
+            normalizer[si] = np.mean(np.abs(cv.y[si, ok[si]]))
+        kept = rows & (normalizer != 0.0)
+        normalized = series_crps[kept] / normalizer[kept]
         by_level = np.moveaxis(losses[ok], -1, 0).reshape(len(levels), -1)
         pinball_by_level = {level: float(np.mean(by_level[j])) for j, level in enumerate(levels)}
         if len(levels) >= 2:
             all_q = q[ok].reshape(-1, len(levels))
             coverage_value = coverage(cv.y[ok].reshape(-1), all_q, levels, levels[0], levels[-1])
 
+    n_rows = int(rows.sum())
     return ModelScore(
         model=cv.model_names[model_index],
         rank=0,
-        mase=float(np.mean(series_mase)) if series_mase else None,
-        crps=float(np.mean(normalized)) if normalized else None,
+        mase=float(np.mean(series_mase)) if series_mase.size else None,
+        crps=float(np.mean(normalized)) if normalized.size else None,
         pinball_by_level=pinball_by_level,
         coverage=coverage_value,
         failures=int(cv.failed[model_index].sum()),
-        mase_excluded=len(rows) - len(series_mase),
-        crps_excluded=len(rows) - len(normalized) if has_quantiles else 0,
+        mase_excluded=n_rows - series_mase.size,
+        crps_excluded=n_rows - normalized.size if has_quantiles else 0,
     )
 
 

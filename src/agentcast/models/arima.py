@@ -199,7 +199,8 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
         if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
             return None
         eps = _css_residuals(w, ar_poly, ma_poly, c, lfilter)
-        css = float(np.sum(eps[burn:] ** 2))
+        with np.errstate(over="ignore"):
+            css = float(np.sum(eps[burn:] ** 2))
         if not np.isfinite(css):
             return None
         return {

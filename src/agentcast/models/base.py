@@ -131,6 +131,11 @@ def _aicc(sse: float, n: int, k: int) -> float:
     return -2.0 * loglik + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
 
 
+# A step's output is checked for non-finite cells, which are a forecasting
+# failure, so its overflow needs no numpy warning.
+_CHECKED = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 class Forecaster:
     """Base class: builtin models set ``name`` and a series or block step."""
 
@@ -154,13 +159,15 @@ class Forecaster:
     ) -> tuple[np.ndarray, np.ndarray | None, bool]:
         """(mean, quantiles, fallback) of one series; ``h`` and ``levels`` are valid."""
         try:
-            mean, quantiles = self._forecast_series(series.values, freq.season_length, h, levels)
+            with np.errstate(**_CHECKED):
+                mean, quantiles = self._forecast_series(series.values, freq.season_length, h, levels)
             _check_finite(mean, quantiles, self.name, key)
             return mean, quantiles, False
         except _FORECAST_FAILURES:
             if not self.fallback_to_naive:
                 raise
-        mean, quantiles = _row(*_naive_block(series.values[None, :], h, levels))
+        with np.errstate(**_CHECKED):
+            mean, quantiles = _row(*_naive_block(series.values[None, :], h, levels))
         _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
         return mean, quantiles, True
 
@@ -174,9 +181,10 @@ class Forecaster:
             groups.setdefault(len(s), []).append(i)
         for rows in groups.values():
             try:
-                mean, quantiles = self._forecast_block(
-                    np.array([series[i].values for i in rows]), freq.season_length, h, levels
-                )
+                with np.errstate(**_CHECKED):
+                    mean, quantiles = self._forecast_block(
+                        np.array([series[i].values for i in rows]), freq.season_length, h, levels
+                    )
             except _FORECAST_FAILURES:
                 continue
             for r in np.flatnonzero(_finite_rows(mean, quantiles)):

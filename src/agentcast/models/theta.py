@@ -31,7 +31,8 @@ def _seasonal_path(y: np.ndarray, m: int) -> np.ndarray | None:
         return None
     d = decompose(y, m)
     trend = d.trend[m // 2 : n - m // 2]
-    if seasonal_strength(d) < SEASONAL_STRENGTH_GATE or np.any(trend <= 0):
+    # an overflowed (NaN) strength fails the gate
+    if not seasonal_strength(d) >= SEASONAL_STRENGTH_GATE or np.any(trend <= 0):
         return None
     indices = phase_means(y[m // 2 : n - m // 2] / trend, m // 2, m)
     return indices / indices.mean()

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,3 +209,37 @@ class TestComputeFeatures:
         header, row = text.strip().split("\n")
         assert header.startswith("key,n,season_length,trend_strength")
         assert row.startswith("AirPassengers,144,12,")
+
+    def test_mixed_lengths_equal_one_series_panels_bitwise(self):
+        # blocks of several rows per length, at the edges of each feature's
+        # precondition (KPSS 10, decomposition 2m), with constant and
+        # all-zero rows in every block; at 150 points a phase holds more
+        # than the 8 points of a pairwise-summation block, and 64 series
+        # fill more than one block
+        def bits(row):
+            return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+
+        rng = np.random.default_rng(21)
+        values = {}
+        for n in (1, 2, 3, 9, 10, 23, 24, 25, 60, 150):
+            values[f"a{n:02d}"] = rng.normal(50.0, 10.0, n)
+            values[f"b{n:02d}"] = np.round(rng.normal(0.0, 3.0, n), 1)
+            values[f"c{n:02d}"] = np.full(n, 7.25)
+            values[f"z{n:02d}"] = np.zeros(n)
+        values.update({f"w{i:02d}": rng.normal(0.0, 1.0, 150) for i in range(60)})
+        panel = make_panel(values)
+        assert panel.season_length == 12
+        report = compute_features(panel)
+        for key, series in values.items():
+            alone = compute_features(make_panel({key: series}))[key]
+            assert bits(report[key]) == bits(alone)
+
+    def test_overflowing_statistics_are_absent_without_warnings(self, air_passengers):
+        panel = make_panel({"s": air_passengers["AirPassengers"].values * 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = compute_features(panel)["s"]
+        assert row.trend_strength is None and row.seasonal_strength is None
+        assert row.acf1 is None and row.coefficient_of_variation is None
+        assert row.kpss_stat is None and row.kpss_level_stationary is None
+        assert row.intermittency == 0.0 and row.mean == pytest.approx(2.80298611111e302)

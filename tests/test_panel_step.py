@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from agentcast.adapters import EnsembleForecaster, resolve_model
 from agentcast.datasets import load_air_passengers
 from agentcast.errors import _FORECAST_FAILURES, NonFiniteForecastError
-from agentcast.evaluation import cross_validate
+from agentcast.evaluation import aggregate_leaderboard, cross_validate
 from agentcast.models import Naive, arima, available_models, get_model
 from agentcast.panel import DEFAULT_LEVELS, Series, SeriesPanel, frames_to_csv
 
@@ -154,21 +154,63 @@ class TestPanelStepEqualsScalarStep:
                 )
 
 
+LENGTHS = [*range(1, 10), *range(127, 131), *range(255, 259)]
+
+
+def row_block(n, rows=6):
+    rng = np.random.default_rng(n)
+    return rng.normal(rng.uniform(-1e3, 1e3, (rows, 1)), rng.uniform(0.1, 1e3, (rows, 1)), (rows, n))
+
+
 class TestRowReductions:
     """The reductions along axis 1 equal the 1-D call on each row, around
     numpy's pairwise-summation blocks too."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("n", [*range(1, 10), *range(127, 131), *range(255, 259)])
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_axis_one_equals_each_row(self, n):
-        rng = np.random.default_rng(n)
-        Y = rng.normal(rng.uniform(-1e3, 1e3, (6, 1)), rng.uniform(0.1, 1e3, (6, 1)), (6, n))
+        Y = row_block(n)
+        Z = np.where(Y > 0.0, Y, 0.0)
         for block, rows in (
             (Y.mean(axis=1), [y.mean() for y in Y]),
             (Y.std(axis=1), [y.std() for y in Y]),
             (Y.std(axis=1, ddof=1), [y.std(ddof=1) for y in Y]),
+            (Y.var(axis=1), [np.var(y) for y in Y]),
+            (np.sum(np.cumsum(Y, axis=1) ** 2, axis=1), [np.sum(np.cumsum(y) ** 2) for y in Y]),
+            ((Z == 0.0).mean(axis=1), [np.mean(z == 0.0) for z in Z]),
         ):
             assert block.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_phase_columns_equal_each_rows_phase_selection(self, n, m):
+        # features.phase_means takes every m-th column; the per-series
+        # reference selects a phase's points with a boolean mask
+        Y = row_block(n)
+        phases = np.arange(n) % m
+        for phase in range(min(m, n)):
+            rows = [y[phases == phase].mean() for y in Y]
+            assert Y[:, phase::m].mean(axis=1).tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("lag", [1, 12])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_prefix_mean_of_lag_differences(self, n, lag):
+        # evaluation._mase_scales: a prefix of each row of the differences block
+        Y = row_block(n + lag)
+        D = np.abs(Y[:, lag:] - Y[:, :-lag])
+        for k in sorted({1, n // 2 or 1, n}):
+            rows = [np.mean(np.abs(y[lag:] - y[:-lag])[:k]) for y in Y]
+            assert D[:, :k].mean(axis=1).tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("folds", [1, 3, 5])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_fold_step_block_mean(self, n, folds):
+        # evaluation._score_model: a series' cells over (fold, step) with
+        # every fold successful, against its boolean fold selection
+        X = row_block(folds * n).reshape(6, folds, n)
+        every = np.ones(folds, dtype=bool)
+        rows = [np.mean(x[every]) for x in X]
+        assert X.reshape(6, -1).mean(axis=1).tobytes() == np.array(rows).tobytes()
 
 
 def huge_panel():
@@ -183,6 +225,27 @@ def huge_panel():
 
 class TestFailureIsolation:
     MODELS = ["naive", "croston", "median_ensemble:naive+croston"]
+    # SHA-256 over the leaderboard CSVs of huge_panel and of huge_panel plus
+    # a series whose last fold fails and one whose first fold has a zero
+    # MASE scale, both at 3 folds of 12; frozen before the leaderboard ran
+    # on length blocks.
+    LEADERBOARD_DIGEST = "7536fd832b199a340ad958a9c56fb1f2c3dde24bf00a8fea8a930be1fa583d03"
+
+    def test_leaderboard_with_partly_failed_folds_is_frozen(self):
+        panel = huge_panel()
+        values = {key: panel[key].values for key in panel.keys()}
+        late = np.random.default_rng(7).normal(100.0, 10.0, 48)
+        late[30:] = np.random.default_rng(8).normal(0.0, 1e200, 18)
+        flat = np.random.default_rng(9).normal(50.0, 5.0, 48)
+        flat[:20] = 5.0
+        partly = make_panel({**values, "late_huge": late, "flat_start": flat})
+        digest = hashlib.sha256()
+        for p in (panel, partly):
+            cv = cross_validate(p, self.MODELS, 12, n_windows=3)
+            digest.update(aggregate_leaderboard(cv, p).to_csv().encode())
+        late_folds = cv.failed[:, cv.series.index("late_huge")].tolist()
+        assert late_folds == [[False, False, True], [False] * 3, [False, False, True]]
+        assert digest.hexdigest() == self.LEADERBOARD_DIGEST
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_only_the_overflowing_series_fails(self):
