@@ -230,7 +230,7 @@ class FeatureRow:
     kpss_stat: float | None
     kpss_level_stationary: bool | None
     intermittency: float
-    mean: float
+    mean: float | None
     coefficient_of_variation: float | None
 
 
@@ -275,7 +275,7 @@ def _block_columns(Y: np.ndarray, m: int) -> list[list]:
     kpss_cells = _cells(kpss_stat)
     return [_cells(t_strength), _cells(s_strength), _cells(acf1), kpss_cells,
             [s if v is not None else None for s, v in zip(kpss_stationary.tolist(), kpss_cells)],
-            intermittency.tolist(), mean.tolist(), _cells(cv)]
+            intermittency.tolist(), _cells(mean), _cells(cv)]
 
 
 def compute_features(panel: SeriesPanel) -> FeatureReport:

@@ -15,8 +15,14 @@ block, AR, MA, SAR and SMA, cut or zero-padded and the intercept copied),
 and keeps the valid fit with the lower AICc: either start can settle in a
 worse local minimum than the other.  Each residual evaluation is one
 ``convolve`` (the AR half) plus one IIR ``lfilter`` (the MA half, none
-for a pure AR order).  Forecast variance accumulates psi-weights of the
-fitted (integrated) lag polynomials.
+for a pure AR order).  The Jacobian is analytic, with no forward
+differences: every column is minus a lagged base series (a lag factor
+times the series or the residuals, or ones for the intercept) through
+the inverse MA filter (Box, Jenkins, Reinsel & Ljung 2015, ch. 7), so all
+columns take one 2-D ``lfilter`` pass.  An LM iteration costs that pass,
+one SVD of the column-scaled Jacobian and one residual pass per damping
+trial.  Forecast variance accumulates psi-weights of the fitted
+(integrated) lag polynomials.
 
 scipy's filter (most of a cold ``import agentcast``) is imported by each
 candidate fit and by the forecast, not here; the residuals, evaluated
@@ -38,9 +44,8 @@ MAX_D = 2
 SEASONAL_STRENGTH_D = 0.64
 ROOT_MARGIN = 1e-6
 _ONE = np.ones(1)
-# Levenberg-Marquardt: forward-difference step, relative tolerances on the
-# sum of squares and on the step, iteration and damping limits
-LM_DIFF_STEP = np.sqrt(np.finfo(float).eps)
+# Levenberg-Marquardt: relative tolerances on the sum of squares and on the
+# step, iteration and damping limits
 LM_FTOL = 1e-8
 LM_XTOL = 1e-8
 LM_MAX_ITER = 100
@@ -96,17 +101,33 @@ def _order_label(p, d, q, P, D, Q, m) -> str:
     return base
 
 
-def _lag_polys(p, q, P, Q, m):
-    """params -> (ar_poly, ma_poly), rewriting one [1, 0, ...] array per
+def _lag_factors(p, q, P, Q, m):
+    """params -> (ar, ma, sar, sma), rewriting one [1, 0, ...] array per
     factor in place; a seasonal factor holds -SAR (AR) or +SMA (MA) at lag m."""
     ar, ma, sar, sma = (np.r_[1.0, np.zeros(k)] for k in (p, q, P * m, Q * m))
 
-    def polys(params):
+    def factors(params):
         ar[1:] = -params[:p]
         ma[1:] = params[p : p + q]
         sar[m::m] = -params[p + q : p + q + P]
         sma[m::m] = params[p + q + P : p + q + P + Q]
-        return (np.convolve(ar, sar) if P else ar), (np.convolve(ma, sma) if Q else ma)
+        return ar, ma, sar, sma
+
+    return factors
+
+
+def _product(a, b):
+    """a times b; a itself when b is the constant 1."""
+    return np.convolve(a, b) if len(b) > 1 else a
+
+
+def _lag_polys(p, q, P, Q, m):
+    """params -> (ar_poly, ma_poly), each factor times its seasonal factor."""
+    factors = _lag_factors(p, q, P, Q, m)
+
+    def polys(params):
+        ar, ma, sar, sma = factors(params)
+        return _product(ar, sar), _product(ma, sma)
 
     return polys
 
@@ -122,6 +143,46 @@ def _css_residuals(w, ar_poly, ma_poly, c, lfilter):
     return z if len(ma_poly) == 1 else lfilter(_ONE, ma_poly, z)
 
 
+def _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter):
+    """params -> (the CSS residuals after the burn-in, a thunk for their
+    Jacobian).  e = (1/ma_poly)(ar_poly w - c) from a zero state, so the
+    derivative in an AR (MA) coefficient is minus sar * w (sma * e), in the
+    SAR (SMA) one minus ar * w (ma * e), lagged by the coefficient's lag, and
+    in the intercept minus ones, each filtered by 1/ma_poly: every column
+    comes from one 2-D filter pass over at most five base series.  The MA
+    bases reuse the residual pass's e."""
+    burn = p + m * P
+    factors = _lag_factors(p, q, P, Q, m)
+    # column j is base series rows[j] lagged by lags[j]; the bases are padded
+    # in front by the largest lag
+    counts = [k for k in (p, q, P, Q, int(use_intercept)) if k]
+    rows = np.repeat(np.arange(len(counts)), counts)
+    lags = np.array([*range(1, p + 1), *range(1, q + 1), *[m] * (P + Q), *[0] * use_intercept],
+                    dtype=int)
+    pad = int(lags.max(initial=0))
+    cols = (pad + burn - lags)[:, None] + np.arange(len(w) - burn)
+
+    def residuals(params):
+        ar, ma, sar, sma = factors(params)
+        c = params[-1] if use_intercept else 0.0
+        e = _css_residuals(w, _product(ar, sar), _product(ma, sma), c, lfilter)
+        return e[burn:], lambda: jacobian(params, e)
+
+    def jacobian(params, e):
+        ar, ma, sar, sma = factors(params)  # again: e's pass may not be the last
+        sources = [(sar, w)] * (p > 0) + [(sma, e)] * (q > 0) + [(ar, w)] * P + [(ma, e)] * Q
+        bases = np.zeros((len(counts), pad + len(w)))
+        for row, (factor, series) in enumerate(sources):
+            bases[row, pad:] = _product(series, factor)[: len(w)]
+        if use_intercept:
+            bases[-1, pad:] = 1.0
+        if q or Q:
+            bases = lfilter(_ONE, _product(ma, sma), bases, axis=1)
+        return -bases[rows[:, None], cols].T
+
+    return residuals
+
+
 def _roots_outside(poly: np.ndarray) -> bool:
     if len(poly) <= 1:
         return True
@@ -131,32 +192,38 @@ def _roots_outside(poly: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0 + ROOT_MARGIN))
 
 
+def _damped_steps(jac, f):
+    """damping -> the dx minimising |jac dx + f|^2 + damping |norms * dx|^2,
+    with ``norms`` the column norms of ``jac`` (a zero norm read as 1), all
+    from one SVD of the column-scaled ``jac``."""
+    norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+    norms[norms == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    uf = f @ u
+    return lambda damping: -((s / (s * s + damping) * uf) @ vt) / norms
+
+
 def _levenberg_marquardt(residuals, x):
-    """Least squares by Levenberg-Marquardt (Moré 1978): forward-difference
-    Jacobian, damping scaled by its column norms, a step accepted only when
-    it lowers the sum of squares.  Returns the last accepted point, or the
-    start when the sum of squares or the gradient is not finite."""
-    f = residuals(x)
+    """Least squares by Levenberg-Marquardt (Moré 1978).  ``residuals(x)``
+    returns the residuals at x and a thunk for their Jacobian there.  Each
+    iteration takes one Jacobian and one SVD (``_damped_steps``); its damping
+    trials cost one residual pass each, and a step is accepted only when it
+    lowers the sum of squares.  Returns the last accepted point, or the start
+    when the sum of squares or the gradient is not finite."""
+    f, jacobian = residuals(x)
     cost = f @ f
     if not np.isfinite(cost):
         return x
     damping = 1e-3
     for _ in range(LM_MAX_ITER):
-        jac = np.empty((len(f), len(x)))
-        for i in range(len(x)):
-            step = x.copy()
-            step[i] += LM_DIFF_STEP * max(abs(x[i]), 1.0)
-            jac[:, i] = (residuals(step) - f) / (step[i] - x[i])
-        gradient = jac.T @ f
+        jac = jacobian()
+        gradient = f @ jac
         if not (np.all(np.isfinite(gradient)) and np.any(gradient)):
             return x
-        scale = np.diag(np.sqrt(np.einsum("ij,ij->j", jac, jac)))
-        rhs = np.r_[-f, np.zeros(len(x))]
+        step = _damped_steps(jac, f)
         while True:
-            # min |jac dx + f|^2 + damping |scale dx|^2, as one least squares
-            damped = np.vstack([jac, np.sqrt(damping) * scale])
-            dx = np.linalg.lstsq(damped, rhs, rcond=None)[0]
-            f_new = residuals(x + dx)
+            dx = step(damping)
+            f_new, jacobian_new = residuals(x + dx)
             cost_new = f_new @ f_new
             if cost_new < cost:
                 break
@@ -165,7 +232,7 @@ def _levenberg_marquardt(residuals, x):
                 return x
         done = (cost - cost_new <= LM_FTOL * cost
                 or np.sqrt(dx @ dx) <= LM_XTOL * (np.sqrt(x @ x) + LM_XTOL))
-        x, f, cost = x + dx, f_new, cost_new
+        x, f, cost, jacobian = x + dx, f_new, cost_new, jacobian_new
         damping = max(damping / 10.0, 1e-12)
         if done:
             return x
@@ -185,10 +252,7 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
         return None
 
     polys = _lag_polys(p, q, P, Q, m)
-
-    def residuals(params):
-        c = params[-1] if use_intercept else 0.0
-        return _css_residuals(w, *polys(params), c, lfilter)[burn:]
+    residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter)
 
     def fit_from(x0):
         with np.errstate(over="ignore", invalid="ignore"):

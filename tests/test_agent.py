@@ -467,7 +467,8 @@ class TestRunAgent:
         # aliases (rule-table fallback). The digest covers the URL, the raw
         # body and the sorted headers of all six requests, then both
         # results' JSON.  Re-frozen when the ARIMA fit moved to
-        # Levenberg-Marquardt: the fallback run's autoarima MASE and CRPS.
+        # Levenberg-Marquardt and when its Jacobian became analytic: the
+        # fallback run's autoarima MASE and CRPS.
         digest = hashlib.sha256()
 
         def transport(url, body, headers, timeout):
@@ -493,5 +494,5 @@ class TestRunAgent:
             assert replies == []
             digest.update(result.to_json().encode())
         assert digest.hexdigest() == (
-            "c17f4f28f0903166773eaec22bbcb83cea6174db29023884585e2b0c38b27fea"
+            "4760a59451aa99eee18ed7b31e84906c5abccc420f2a710c3eedaf44d9e4dcde"
         )

@@ -236,10 +236,16 @@ class TestComputeFeatures:
 
     def test_overflowing_statistics_are_absent_without_warnings(self, air_passengers):
         panel = make_panel({"s": air_passengers["AirPassengers"].values * 1e300})
+        # finite values whose sum overflows: the mean is absent too
+        huge = make_panel({"huge": [1.5e308] * 24})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             row = compute_features(panel)["s"]
+            huge_row = compute_features(huge)["huge"]
         assert row.trend_strength is None and row.seasonal_strength is None
         assert row.acf1 is None and row.coefficient_of_variation is None
         assert row.kpss_stat is None and row.kpss_level_stationary is None
         assert row.intermittency == 0.0 and row.mean == pytest.approx(2.80298611111e302)
+        assert huge_row.mean is None and huge_row.coefficient_of_variation is None
+        assert huge_row.intermittency == 0.0
+        assert compute_features(huge).to_csv().splitlines()[1].endswith(",0,,")

@@ -30,7 +30,13 @@ from agentcast.models import (
     ses_fit,
 )
 from agentcast.models import arima
-from agentcast.models.arima import _fit_candidate, _lag_polys, _roots_outside
+from agentcast.models.arima import (
+    _css_least_squares,
+    _damped_steps,
+    _fit_candidate,
+    _lag_polys,
+    _roots_outside,
+)
 from agentcast.models.base import _EXPM2, _ndtri, _z_scores, gaussian_quantiles
 from agentcast.models.ets import SEASONS, TRENDS, _smooth
 from agentcast.panel import DEFAULT_LEVELS, future_grid, parse_panel
@@ -599,7 +605,9 @@ class TestAutoARIMA:
         # when the CSS fit moved from Nelder-Mead to Levenberg-Marquardt with
         # neighbours fitted from both the warm start and zeros: same orders,
         # winning AICc within 2e-6; drift, a start-set winner with no
-        # coefficients, kept all but its candidate table's digest.
+        # coefficients, kept all but its candidate table's digest.  Re-frozen
+        # when the Jacobian became analytic: same orders, AirPassengers' AICc
+        # moved by 4e-10 and white noise's not at all, drift kept its bytes.
         # AirPassengers covers the seasonal difference and the P/Q
         # polynomials, white noise the intercept, the drift series d=1.
         white = np.random.default_rng(0).normal(5.0, 2.0, 300)
@@ -624,17 +632,17 @@ class TestAutoARIMA:
         assert digests == {
             "airpassengers": (
                 "ARIMA(3,1,1)(1,1,0)[12]",
-                "8870af5e817a4cdeae7b41794789511c49bcb310c5d452ce1dc901850c82dba8",
-                "319590e8f25f43d6bb815ce0954008b6b94d1cfa1000373dc7057e76792ec1a4",
-                "c8e1ac921b208c7dd9cd8a9d429ab37cb660671d63238aca86f39f943e3973e5",
-                "aaf0405f21e85eb145ca9edc7eb202e961aab44fd039a68d716e91e823454df0",
+                "5dbbb63277732bcf43f02977539dd2aaaec0c39550dedd393b35a4c113389a5f",
+                "b645d85e6148ba4c16bb965822c7891a23a93334db5a7fab0d0c587941bb3a3b",
+                "b97db0493c46f65b232401932d7f295d3e7cd7ad1b301f53f0b0e0bdc3589081",
+                "6d2beb8e9412ded6d45723e874c234982e42da59041a3744151ee2c66d35efbd",
             ),
             "white_noise": (
                 "ARIMA(3,0,0)",
-                "821d83f744a4f7273871ad212e3dfd681cf2b867c13c36f774410358dde22022",
-                "27addbe402c0e09a27113ccd68d5dd1bba4c85d2e965f4af35f6fb9df906fcb1",
-                "531edee9c58d7abe5bee940a512907b3ede17ad93e279148e65ff5001a4bfe80",
-                "d54bf8918cdd3e06c3909134cdde3b6c4058fb9490c3f08a03590554690511bb",
+                "9be8b44cdfa52cef6045212b099e1226a43161a2edadfc92acca8e418857ea84",
+                "b5b6c4f5c8cd14912caf32a0657ad86f86835134c4ae5831e22aeeced80f5234",
+                "8789bab59b216da5b8d33979f2f24b60db5d4f19c6173296c1e40b1bd4675b4a",
+                "46b6f028f706e19014148896644a2dd0c78ab9861fc74e5c45527b8014adf11e",
             ),
             "drift": (
                 "ARIMA(0,1,0)",
@@ -646,29 +654,35 @@ class TestAutoARIMA:
         }
 
     def test_warm_start_search(self, air_passengers, monkeypatch):
-        # Residual evaluations and Levenberg-Marquardt runs, counted through
-        # _levenberg_marquardt.  The budgets are the measured counts (1,635
-        # and 2,612) plus at most 30%, under half of the Nelder-Mead search's
-        # 5,620 and 7,175 objective calls.
-        calls, runs = [0], [0]
+        # Residual passes, Jacobian passes and Levenberg-Marquardt runs,
+        # counted through _levenberg_marquardt.  The budgets are the measured
+        # counts (468 and 657 residual, 338 and 441 Jacobian passes) plus at
+        # most 30%; the forward-difference Jacobian took 1,635 and 2,612
+        # residual passes.
+        calls, jacobians, runs = [0], [0], [0]
         levenberg_marquardt = arima._levenberg_marquardt
 
         def counting(residuals, x0):
             def counted(x):
                 calls[0] += 1
-                return residuals(x)
+                f, jacobian = residuals(x)
+
+                def counted_jacobian():
+                    jacobians[0] += 1
+                    return jacobian()
+                return f, counted_jacobian
             runs[0] += 1
             return levenberg_marquardt(counted, x0)
 
         monkeypatch.setattr(arima, "_levenberg_marquardt", counting)
         y = air_passengers["AirPassengers"].values
         white = np.random.default_rng(0).normal(5.0, 2.0, 300)
-        cases = [(y[:132], 12, 2100), (y, 12, 3350), (white, 1, None)]
+        cases = [(y[:132], 12, (610, 440)), (y, 12, (860, 575)), (white, 1, None)]
         for series, m, budget in cases:
-            calls[0] = runs[0] = 0
+            calls[0] = jacobians[0] = runs[0] = 0
             fit = arima_fit(series, m)
             if budget is not None:
-                assert calls[0] <= budget
+                assert calls[0] <= budget[0] and jacobians[0] <= budget[1]
             assert fit.order.aicc == min(a for _, a in fit.candidates)
             assert _roots_outside(fit.ar_poly) and _roots_outside(fit.ma_poly)
             # one run per start-set order, two per neighbour: from the warm
@@ -784,6 +798,72 @@ class TestARIMAKernel:
         ar_poly, w = case
         expected = lfilter(ar_poly, [1.0], w)
         assert np.convolve(ar_poly, w)[: len(w)].tobytes() == expected.tobytes()
+
+
+def central_differences(residuals, x, h=1e-6):
+    jac = np.empty((len(residuals(x)[0]), len(x)))
+    for i in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        jac[:, i] = (residuals(up)[0] - residuals(down)[0]) / (2.0 * h)
+    return jac
+
+
+class TestCSSJacobian:
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    @pytest.mark.parametrize("use_intercept", [False, True])
+    def test_matches_central_differences(self, m, use_intercept):
+        rng = np.random.default_rng(m + 10 * use_intercept)
+        w = rng.normal(1.0, 1.0, 80)
+        for p, q, P, Q in itertools.product(range(4), range(4), (0, 1), (0, 1)):
+            k = p + q + P + Q + use_intercept
+            # each factor's coefficients sum to under 1 in magnitude, so every
+            # lag polynomial is stable and invertible
+            x = rng.uniform(-0.3, 0.3, k)
+            polys = _lag_polys(p, q, P, Q, m)(x)
+            assert all(_roots_outside(poly) for poly in polys)
+            residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter)
+            jac = residuals(x)[1]()
+            expected = central_differences(residuals, x)
+            assert jac.shape == (len(w) - p - m * P, k)
+            scale = np.max(np.abs(expected), initial=1.0)
+            assert np.max(np.abs(jac - expected), initial=0.0) <= 1e-6 * scale
+
+    def test_pure_ar_with_intercept_is_exact(self):
+        # e_t = w_t - phi_1 w_{t-1} - phi_2 w_{t-2} - phi_3 w_{t-3} - c is
+        # linear in the parameters: the Jacobian is minus the lagged series
+        # and minus ones, at any point
+        w = np.random.default_rng(3).normal(0.0, 1.0, 50)
+        residuals = _css_least_squares(w, 3, 0, 0, 0, 1, True, lfilter)
+        design = -np.column_stack([w[2:-1], w[1:-2], w[:-3], np.ones(47)])
+        x = np.array([0.4, -0.2, 0.1, 1.5])
+        f, jacobian = residuals(x)
+        assert jacobian().tobytes() == design.tobytes()
+        np.testing.assert_allclose(f, residuals(np.zeros(4))[0] + design @ x, rtol=1e-12, atol=1e-12)
+
+
+class TestDampedStep:
+    @pytest.mark.parametrize("damping", [1e-3, 1.0, 1e3])
+    def test_svd_step_equals_the_stacked_lstsq_step(self, damping):
+        # min |jac dx + f|^2 + damping |norms * dx|^2, solved as the stacked
+        # least squares [jac; sqrt(damping) diag(norms)] dx = [-f; 0]
+        rng = np.random.default_rng(5)
+        w = rng.normal(0.0, 1.0, 80)
+        # ARMA(1,1) with phi = -theta + 1e-6: its AR and MA columns nearly match
+        residuals = _css_least_squares(w, 1, 1, 0, 0, 1, False, lfilter)
+        f, jacobian = residuals(np.array([0.5, -0.5 + 1e-6]))
+        cases = [(jacobian(), f)]
+        for _ in range(20):
+            jac = rng.normal(0.0, 1.0, (60, 5)) * rng.uniform(0.1, 10.0, 5)
+            jac[:, 1] = 0.0
+            cases.append((jac, rng.normal(0.0, 1.0, 60)))
+        for jac, f in cases:
+            norms = np.sqrt(np.sum(jac**2, axis=0))
+            stacked = np.vstack([jac, np.sqrt(damping) * np.diag(norms)])
+            expected = np.linalg.lstsq(stacked, np.r_[-f, np.zeros(len(norms))], rcond=None)[0]
+            dx = _damped_steps(jac, f)(damping)
+            np.testing.assert_allclose(dx, expected, rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
 
 
 # where Cephes ndtri switches branch: the reflections at exp(-2) and

@@ -23,8 +23,9 @@ from test_evaluation import seeded_month_end_panel
 # then each entry's fallback flag, on AirPassengers and the seeded
 # month-end panel at the default levels and at None; frozen before the
 # panel step existed, re-frozen when the ARIMA fit moved to
-# Levenberg-Marquardt (only autoarima's rows move).
-FORECAST_PATH_DIGEST = "1086b46d86a4f3099fa712bf2bddef625b48d1a0f41b0d2154cbe317a267e6ed"
+# Levenberg-Marquardt and when its Jacobian became analytic (only
+# autoarima's rows move).
+FORECAST_PATH_DIGEST = "cfd8ec522aa3dc2cc62bb6d389ee2d4f342f79e03b40452df668693e8df2d900"
 
 
 def test_forecast_path_digest(monkeypatch):
