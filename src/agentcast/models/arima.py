@@ -24,13 +24,16 @@ one SVD of the column-scaled Jacobian and one residual pass per damping
 trial.  Forecast variance accumulates psi-weights of the fitted
 (integrated) lag polynomials.
 
-scipy's filter (most of a cold ``import agentcast``) is imported by each
-candidate fit and by the forecast, not here; the residuals, evaluated
-hundreds of times per fit, are handed the filter instead.
+Each residual pass owns its arrays: its lag polynomials, its residual
+series and the Jacobian thunk that reads them.  Levenberg-Marquardt returns
+the pass at its accepted point, and the fit keeps that pass's polynomials
+and residuals with no second pass.  scipy's filter (most of a cold ``import
+agentcast``) is imported once per candidate fit and by the forecast, not here.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,58 +104,29 @@ def _order_label(p, d, q, P, D, Q, m) -> str:
     return base
 
 
-def _lag_factors(p, q, P, Q, m):
-    """params -> (ar, ma, sar, sma), rewriting one [1, 0, ...] array per
-    factor in place; a seasonal factor holds -SAR (AR) or +SMA (MA) at lag m."""
-    ar, ma, sar, sma = (np.r_[1.0, np.zeros(k)] for k in (p, q, P * m, Q * m))
-
-    def factors(params):
-        ar[1:] = -params[:p]
-        ma[1:] = params[p : p + q]
-        sar[m::m] = -params[p + q : p + q + P]
-        sma[m::m] = params[p + q + P : p + q + P + Q]
-        return ar, ma, sar, sma
-
-    return factors
-
-
 def _product(a, b):
     """a times b; a itself when b is the constant 1."""
     return np.convolve(a, b) if len(b) > 1 else a
 
 
-def _lag_polys(p, q, P, Q, m):
-    """params -> (ar_poly, ma_poly), each factor times its seasonal factor."""
-    factors = _lag_factors(p, q, P, Q, m)
-
-    def polys(params):
-        ar, ma, sar, sma = factors(params)
-        return _product(ar, sar), _product(ma, sma)
-
-    return polys
+# one residual pass: the full residual series, the lag polynomials that made
+# it and a thunk for the Jacobian of its residuals after the burn-in
+_CSSPass = namedtuple("_CSSPass", "e ar_poly ma_poly jacobian")
 
 
-def _css_residuals(w, ar_poly, ma_poly, c, lfilter):
-    # lfilter(ar_poly, [1.0], w) is scipy's convolve(b, x)[:len(x)]; numpy swaps
-    # operands only when the second is longer, so convolve(w, ar_poly) would sum
-    # in another order when len(w) == len(ar_poly).  An identity MA filter would
-    # only turn -0.0 into 0.0, and convolve never returns -0.0.
-    z = np.convolve(ar_poly, w)[: len(w)]
-    if c:
-        z = z - c
-    return z if len(ma_poly) == 1 else lfilter(_ONE, ma_poly, z)
-
-
-def _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter):
-    """params -> (the CSS residuals after the burn-in, a thunk for their
-    Jacobian).  e = (1/ma_poly)(ar_poly w - c) from a zero state, so the
-    derivative in an AR (MA) coefficient is minus sar * w (sma * e), in the
-    SAR (SMA) one minus ar * w (ma * e), lagged by the coefficient's lag, and
-    in the intercept minus ones, each filtered by 1/ma_poly: every column
-    comes from one 2-D filter pass over at most five base series.  The MA
-    bases reuse the residual pass's e."""
+def _css_least_squares(w, p, q, P, Q, m, use_intercept):
+    """params -> (the CSS residuals after the burn-in, their ``_CSSPass``).
+    e = (1/ma_poly)(ar_poly w - c) from a zero state, so the derivative in an
+    AR (MA) coefficient is minus sar * w (sma * e), in the SAR (SMA) one minus
+    ar * w (ma * e), lagged by the coefficient's lag, and in the intercept
+    minus ones, each filtered by 1/ma_poly: every column comes from one 2-D
+    filter pass over at most five base series.  The MA bases reuse the pass's
+    e.  Each pass builds its own lag factors, so no later pass changes it."""
+    from scipy.signal import lfilter
     burn = p + m * P
-    factors = _lag_factors(p, q, P, Q, m)
+    # one [1, 0, ...] per factor (ar, ma, sar, sma); a seasonal factor holds
+    # -SAR (AR) or +SMA (MA) at lag m
+    templates = [np.r_[1.0, np.zeros(k)] for k in (p, q, P * m, Q * m)]
     # column j is base series rows[j] lagged by lags[j]; the bases are padded
     # in front by the largest lag
     counts = [k for k in (p, q, P, Q, int(use_intercept)) if k]
@@ -163,33 +137,42 @@ def _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter):
     cols = (pad + burn - lags)[:, None] + np.arange(len(w) - burn)
 
     def residuals(params):
-        ar, ma, sar, sma = factors(params)
+        ar, ma, sar, sma = (template.copy() for template in templates)
+        ar[1:] = -params[:p]
+        ma[1:] = params[p : p + q]
+        sar[m::m] = -params[p + q : p + q + P]
+        sma[m::m] = params[p + q + P : p + q + P + Q]
+        ar_poly, ma_poly = _product(ar, sar), _product(ma, sma)
+        # lfilter(ar_poly, [1.0], w) is scipy's convolve(b, x)[:len(x)]; numpy
+        # swaps operands only when the second is longer, so convolve(w, ar_poly)
+        # would sum in another order when len(w) == len(ar_poly).  An identity
+        # MA filter would only turn -0.0 into 0.0, and convolve never returns -0.0.
+        e = np.convolve(ar_poly, w)[: len(w)]
         c = params[-1] if use_intercept else 0.0
-        e = _css_residuals(w, _product(ar, sar), _product(ma, sma), c, lfilter)
-        return e[burn:], lambda: jacobian(params, e)
+        if c:
+            e = e - c
+        if len(ma_poly) > 1:
+            e = lfilter(_ONE, ma_poly, e)
 
-    def jacobian(params, e):
-        ar, ma, sar, sma = factors(params)  # again: e's pass may not be the last
-        sources = [(sar, w)] * (p > 0) + [(sma, e)] * (q > 0) + [(ar, w)] * P + [(ma, e)] * Q
-        bases = np.zeros((len(counts), pad + len(w)))
-        for row, (factor, series) in enumerate(sources):
-            bases[row, pad:] = _product(series, factor)[: len(w)]
-        if use_intercept:
-            bases[-1, pad:] = 1.0
-        if q or Q:
-            bases = lfilter(_ONE, _product(ma, sma), bases, axis=1)
-        return -bases[rows[:, None], cols].T
+        def jacobian():
+            sources = [(sar, w)] * (p > 0) + [(sma, e)] * (q > 0) + [(ar, w)] * P + [(ma, e)] * Q
+            bases = np.zeros((len(counts), pad + len(w)))
+            for row, (factor, series) in enumerate(sources):
+                bases[row, pad:] = _product(series, factor)[: len(w)]
+            if use_intercept:
+                bases[-1, pad:] = 1.0
+            if q or Q:
+                bases = lfilter(_ONE, ma_poly, bases, axis=1)
+            return -bases[rows[:, None], cols].T
+
+        return e[burn:], _CSSPass(e, ar_poly, ma_poly, jacobian)
 
     return residuals
 
 
 def _roots_outside(poly: np.ndarray) -> bool:
-    if len(poly) <= 1:
-        return True
-    roots = np.roots(poly[::-1])
-    if roots.size == 0:
-        return True
-    return bool(np.all(np.abs(roots) > 1.0 + ROOT_MARGIN))
+    """Every root outside the unit circle by ROOT_MARGIN; a constant has none."""
+    return bool(np.all(np.abs(np.roots(poly[::-1])) > 1.0 + ROOT_MARGIN))
 
 
 def _damped_steps(jac, f):
@@ -205,38 +188,39 @@ def _damped_steps(jac, f):
 
 def _levenberg_marquardt(residuals, x):
     """Least squares by Levenberg-Marquardt (Moré 1978).  ``residuals(x)``
-    returns the residuals at x and a thunk for their Jacobian there.  Each
-    iteration takes one Jacobian and one SVD (``_damped_steps``); its damping
-    trials cost one residual pass each, and a step is accepted only when it
-    lowers the sum of squares.  Returns the last accepted point, or the start
-    when the sum of squares or the gradient is not finite."""
-    f, jacobian = residuals(x)
+    returns the residuals at x and their pass, whose ``jacobian()`` is their
+    Jacobian there.  Each iteration takes one Jacobian and one SVD
+    (``_damped_steps``); its damping trials cost one residual pass each, and a
+    step is accepted only when it lowers the sum of squares.  Returns the last
+    accepted point and its pass: the start's when the sum of squares or the
+    gradient is not finite."""
+    f, css_pass = residuals(x)
     cost = f @ f
     if not np.isfinite(cost):
-        return x
+        return x, css_pass
     damping = 1e-3
     for _ in range(LM_MAX_ITER):
-        jac = jacobian()
+        jac = css_pass.jacobian()
         gradient = f @ jac
         if not (np.all(np.isfinite(gradient)) and np.any(gradient)):
-            return x
+            break
         step = _damped_steps(jac, f)
         while True:
             dx = step(damping)
-            f_new, jacobian_new = residuals(x + dx)
+            f_new, pass_new = residuals(x + dx)
             cost_new = f_new @ f_new
             if cost_new < cost:
                 break
             damping *= 10.0
             if damping > LM_MAX_DAMPING:
-                return x
+                return x, css_pass
         done = (cost - cost_new <= LM_FTOL * cost
                 or np.sqrt(dx @ dx) <= LM_XTOL * (np.sqrt(x @ x) + LM_XTOL))
-        x, f, cost, jacobian = x + dx, f_new, cost_new, jacobian_new
+        x, f, cost, css_pass = x + dx, f_new, cost_new, pass_new
         damping = max(damping / 10.0, 1e-12)
         if done:
-            return x
-    return x
+            break
+    return x, css_pass
 
 
 def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
@@ -244,35 +228,29 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
     ``start`` fit, also from its coefficients, keeping the valid fit with the
     lower AICc.  Returns None when no fit is valid or the order is not
     estimable."""
-    from scipy.signal import lfilter
     n_coef = p + q + P + Q + (1 if use_intercept else 0)
     burn = p + m * P
     n_eff = len(w) - burn
     if n_eff <= n_coef + 2:
         return None
 
-    polys = _lag_polys(p, q, P, Q, m)
-    residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter)
+    residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept)
 
     def fit_from(x0):
         with np.errstate(over="ignore", invalid="ignore"):
-            params = _levenberg_marquardt(residuals, x0)
-        c = params[-1] if use_intercept else 0.0
-        # copies: the other start's fit rewrites polys' arrays in place
-        ar_poly, ma_poly = (poly.copy() for poly in polys(params))
-        if not (_roots_outside(ar_poly) and _roots_outside(ma_poly)):
+            params, css_pass = _levenberg_marquardt(residuals, x0)
+        if not (_roots_outside(css_pass.ar_poly) and _roots_outside(css_pass.ma_poly)):
             return None
-        eps = _css_residuals(w, ar_poly, ma_poly, c, lfilter)
         with np.errstate(over="ignore"):
-            css = float(np.sum(eps[burn:] ** 2))
+            css = float(np.sum(css_pass.e[burn:] ** 2))
         if not np.isfinite(css):
             return None
         return {
             "aicc": _aicc(css, n_eff, n_coef + 1),  # plus the innovation variance
-            "sigma2": max(css / n_eff, SIGMA2_FLOOR), "c": c if use_intercept else None,
+            "sigma2": max(css / n_eff, SIGMA2_FLOOR), "c": params[-1] if use_intercept else None,
             "ar": params[:p], "ma": params[p : p + q],
             "sar": params[p + q : p + q + P], "sma": params[p + q + P : p + q + P + Q],
-            "ar_poly": ar_poly, "ma_poly": ma_poly, "eps": eps,
+            "ar_poly": css_pass.ar_poly, "ma_poly": css_pass.ma_poly, "eps": css_pass.e,
         }
 
     x0 = np.zeros(n_coef)

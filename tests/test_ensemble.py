@@ -1,3 +1,4 @@
+import ast
 import itertools
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from agentcast.evaluation import cross_validate
 from agentcast.models import get_model
 from agentcast.panel import ForecastEntry, ForecastFrame
 
-from conftest import make_panel, parse_monthly, src_env
+from conftest import SRC, make_panel, parse_monthly, src_env
 
 
 def pava_oracle(values, weights):
@@ -268,6 +269,45 @@ def test_cold_import_leaves_modules_unloaded(module, unloaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "False (3, 9)"]
+
+
+def scipy_imports():
+    """(file:line, dotted name, inside a function body) per scipy module or
+    name that an import statement under src/agentcast names."""
+    found = []
+
+    def visit(node, in_function, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, in_function or nested, where)
+                continue
+            found.extend(
+                (f"{where}:{child.lineno}", name, in_function)
+                for name in names
+                if name.split(".")[0] == "scipy"
+            )
+
+    for path in sorted((SRC / "agentcast").rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), False, path.relative_to(SRC))
+    return found
+
+
+def test_scipy_is_imported_in_function_bodies_from_public_modules():
+    # The cold-import test above sees one path through the package; this scan
+    # sees every import statement.  A module-level scipy import would load it
+    # with the package, and a private module (scipy.*._*) such as the C
+    # filter behind lfilter may move or change between scipy releases.
+    imports = scipy_imports()
+    assert imports, "the ARIMA fit and forecast import scipy's filter"
+    assert [where for where, _, in_function in imports if not in_function] == []
+    private = [(where, name) for where, name, _ in imports
+               if any(part.startswith("_") for part in name.split("."))]
+    assert private == []
 
 
 class TestEnsembleForecaster:

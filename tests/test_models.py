@@ -34,7 +34,6 @@ from agentcast.models.arima import (
     _css_least_squares,
     _damped_steps,
     _fit_candidate,
-    _lag_polys,
     _roots_outside,
 )
 from agentcast.models.base import _EXPM2, _ndtri, _z_scores, gaussian_quantiles
@@ -665,12 +664,12 @@ class TestAutoARIMA:
         def counting(residuals, x0):
             def counted(x):
                 calls[0] += 1
-                f, jacobian = residuals(x)
+                f, css_pass = residuals(x)
 
                 def counted_jacobian():
                     jacobians[0] += 1
-                    return jacobian()
-                return f, counted_jacobian
+                    return css_pass.jacobian()
+                return f, css_pass._replace(jacobian=counted_jacobian)
             runs[0] += 1
             return levenberg_marquardt(counted, x0)
 
@@ -722,12 +721,59 @@ class TestAutoARIMA:
                 cold = _fit_candidate(*args)
                 if cold is not None:
                     assert fit is not None and fit["aicc"] <= cold["aicc"]
-                if fit is not None:  # the kept fit's polynomials are its own
-                    params = np.r_[fit["ar"], fit["ma"], fit["sar"], fit["sma"]]
-                    polys = _lag_polys(*args[1:6])(params)
-                    assert [poly.tobytes() for poly in polys] == [
-                        fit["ar_poly"].tobytes(), fit["ma_poly"].tobytes()
+                if fit is not None:  # the kept fit holds its own pass
+                    c = [] if fit["c"] is None else fit["c"]
+                    params = np.r_[fit["ar"], fit["ma"], fit["sar"], fit["sma"], c]
+                    fresh = _css_least_squares(*args)(params)[1]
+                    assert [a.tobytes() for a in (fresh.ar_poly, fresh.ma_poly, fresh.e)] == [
+                        fit["ar_poly"].tobytes(), fit["ma_poly"].tobytes(), fit["eps"].tobytes()
                     ]
+
+    def test_every_residual_pass_is_one_levenberg_marquardt_saw(self, air_passengers, monkeypatch):
+        # The fit keeps the pass at Levenberg-Marquardt's accepted point and
+        # makes no residual pass of its own; a second pass per kept fit once
+        # made 489 residual evaluations on this prefix.
+        made, seen = [0], [0]
+        css_least_squares = arima._css_least_squares
+        levenberg_marquardt = arima._levenberg_marquardt
+
+        def counting_residuals(*args):
+            residuals = css_least_squares(*args)
+
+            def counted(params):
+                made[0] += 1
+                return residuals(params)
+            return counted
+
+        def counting_passes(residuals, x0):
+            def counted(x):
+                seen[0] += 1
+                return residuals(x)
+            return levenberg_marquardt(counted, x0)
+
+        monkeypatch.setattr(arima, "_css_least_squares", counting_residuals)
+        monkeypatch.setattr(arima, "_levenberg_marquardt", counting_passes)
+        arima_fit(air_passengers["AirPassengers"].values[:132], 12)
+        assert made[0] == seen[0] == 468
+
+    @pytest.mark.parametrize("order", [(3, 1, 1, 0), (2, 1, 0, 1)])
+    def test_a_kept_fit_owns_its_arrays(self, air_passengers, order):
+        # Without a seasonal AR (MA) factor the AR (MA) polynomial is the lag
+        # factor itself.  Later passes and fits of the same order leave a kept
+        # fit's polynomials and residuals as they were, and a pass's Jacobian
+        # reads that pass's factors and residuals, not the latest pass's.
+        w = arima_fit(air_passengers["AirPassengers"].values, 12).w
+        kept = _fit_candidate(w, *order, 12, False)
+        before = [kept[key].tobytes() for key in ("ar_poly", "ma_poly", "eps")]
+        _fit_candidate(w, *order, 12, False, start=kept)
+        _fit_candidate(w, *order, 12, False)
+        residuals = _css_least_squares(w, *order, 12, False)
+        x = np.random.default_rng(1).uniform(-0.3, 0.3, sum(order))
+        _, first = residuals(x)
+        jacobian = first.jacobian().tobytes()
+        residuals(-x)
+        assert first.jacobian().tobytes() == jacobian
+        assert [kept[key].tobytes() for key in ("ar_poly", "ma_poly", "eps")] == before
 
     def test_fit_bytes_repeat_within_a_process(self):
         # These series' near-cancelling AR and MA terms give ill-conditioned
@@ -821,10 +867,10 @@ class TestCSSJacobian:
             # each factor's coefficients sum to under 1 in magnitude, so every
             # lag polynomial is stable and invertible
             x = rng.uniform(-0.3, 0.3, k)
-            polys = _lag_polys(p, q, P, Q, m)(x)
-            assert all(_roots_outside(poly) for poly in polys)
-            residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept, lfilter)
-            jac = residuals(x)[1]()
+            residuals = _css_least_squares(w, p, q, P, Q, m, use_intercept)
+            css_pass = residuals(x)[1]
+            assert _roots_outside(css_pass.ar_poly) and _roots_outside(css_pass.ma_poly)
+            jac = css_pass.jacobian()
             expected = central_differences(residuals, x)
             assert jac.shape == (len(w) - p - m * P, k)
             scale = np.max(np.abs(expected), initial=1.0)
@@ -835,11 +881,11 @@ class TestCSSJacobian:
         # linear in the parameters: the Jacobian is minus the lagged series
         # and minus ones, at any point
         w = np.random.default_rng(3).normal(0.0, 1.0, 50)
-        residuals = _css_least_squares(w, 3, 0, 0, 0, 1, True, lfilter)
+        residuals = _css_least_squares(w, 3, 0, 0, 0, 1, True)
         design = -np.column_stack([w[2:-1], w[1:-2], w[:-3], np.ones(47)])
         x = np.array([0.4, -0.2, 0.1, 1.5])
-        f, jacobian = residuals(x)
-        assert jacobian().tobytes() == design.tobytes()
+        f, css_pass = residuals(x)
+        assert css_pass.jacobian().tobytes() == design.tobytes()
         np.testing.assert_allclose(f, residuals(np.zeros(4))[0] + design @ x, rtol=1e-12, atol=1e-12)
 
 
@@ -851,9 +897,9 @@ class TestDampedStep:
         rng = np.random.default_rng(5)
         w = rng.normal(0.0, 1.0, 80)
         # ARMA(1,1) with phi = -theta + 1e-6: its AR and MA columns nearly match
-        residuals = _css_least_squares(w, 1, 1, 0, 0, 1, False, lfilter)
-        f, jacobian = residuals(np.array([0.5, -0.5 + 1e-6]))
-        cases = [(jacobian(), f)]
+        residuals = _css_least_squares(w, 1, 1, 0, 0, 1, False)
+        f, css_pass = residuals(np.array([0.5, -0.5 + 1e-6]))
+        cases = [(css_pass.jacobian(), f)]
         for _ in range(20):
             jac = rng.normal(0.0, 1.0, (60, 5)) * rng.uniform(0.1, 10.0, 5)
             jac[:, 1] = 0.0
