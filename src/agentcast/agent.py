@@ -22,7 +22,7 @@ from .errors import AgentError, ConfigError, ProtocolError
 from .evaluation import EvalReport, aggregate_leaderboard, cross_validate
 from .features import FeatureReport, compute_features
 from .llm import LLMConfig, ToolCall, ToolSpec, llm_chat
-from .models import available_models, get_model
+from .models import arima, available_models, get_model
 from .panel import DEFAULT_LEVELS, ForecastFrame, SeriesPanel, format_timestamp
 
 __all__ = [
@@ -52,7 +52,6 @@ ASSUMPTION_NOTES = {
 SEASONAL_GATE = 0.6
 TREND_GATE = 0.6
 INTERMITTENCY_GATE = 0.3
-MIN_OBS_FOR_ARIMA = 20
 MAX_QUERY_HORIZON_FACTOR = 4
 
 
@@ -140,7 +139,7 @@ def _rule_table(profile: FeatureProfile) -> list[str]:
     if profile.kpss_nonstationary or profile.trend_strength >= TREND_GATE:
         picks += ["autoets", "autoarima", "theta"]
     picks.append("naive")
-    if profile.n >= MIN_OBS_FOR_ARIMA and not intermittent and "autoarima" not in picks:
+    if profile.n >= arima.MIN_OBS and not intermittent and "autoarima" not in picks:
         picks.append("autoarima")
     ordered = list(dict.fromkeys(picks))
     if ordered == ["naive"]:

@@ -21,8 +21,9 @@ times the series or the residuals, or ones for the intercept) through
 the inverse MA filter (Box, Jenkins, Reinsel & Ljung 2015, ch. 7), so all
 columns take one 2-D ``lfilter`` pass.  An LM iteration costs that pass,
 one SVD of the column-scaled Jacobian and one residual pass per damping
-trial.  Forecast variance accumulates psi-weights of the fitted
-(integrated) lag polynomials.
+trial.  Forecasts undo the differencing with one integrated AR polynomial
+phi(B)(1-B)^d(1-B^m)^D: the mean is its lag recursion on the history and
+the variance sums its psi-weights (Box et al. 2015, ch. 5).
 
 Each residual pass owns its arrays: its lag polynomials, its residual
 series and the Jacobian thunk that reads them.  Levenberg-Marquardt returns
@@ -42,6 +43,7 @@ from ..errors import InsufficientDataError
 from ..features import decompose, kpss_statistic, seasonal_strength
 from .base import SIGMA2_FLOOR, Forecaster, _aicc, gaussian_quantiles
 
+MIN_OBS = 20
 MAX_PQ = 3
 MAX_D = 2
 SEASONAL_STRENGTH_D = 0.64
@@ -92,7 +94,6 @@ class ARIMAFit:
     ma_poly: np.ndarray
     residuals: np.ndarray
     w: np.ndarray
-    chain: tuple[np.ndarray, ...]
     history: np.ndarray
     candidates: tuple[tuple[str, float], ...]
 
@@ -271,37 +272,34 @@ def _fit_candidate(w, p, q, P, Q, m, use_intercept, start=None):
     return fit
 
 
-def _differencing_chain(y: np.ndarray, m: int) -> tuple[int, list[np.ndarray]]:
-    """D and the chain of differenced series: the seasonally differenced
-    (D = 1) or plain series, then one regular difference per element while
-    KPSS rejects level stationarity (d = len(chain) - 1 <= MAX_D)."""
+def _differencing_chain(y: np.ndarray, m: int) -> tuple[int, int, np.ndarray]:
+    """(d, D, w): one seasonal difference (D = 1) when the seasonal strength
+    is high, then one regular difference at a time while KPSS rejects level
+    stationarity (d <= MAX_D); w is the series after those differences."""
     seasonal_ok = m > 1 and len(y) >= 3 * m
     D = int(seasonal_ok and seasonal_strength(decompose(y, m)) >= SEASONAL_STRENGTH_D)
-    chain = [y[m:] - y[:-m] if D else y]
-    while len(chain) <= MAX_D and not kpss_statistic(chain[-1])[1]:
-        chain.append(np.diff(chain[-1]))
-    return D, chain
+    d, w = 0, (y[m:] - y[:-m] if D else y)
+    while d < MAX_D and not kpss_statistic(w)[1]:
+        d, w = d + 1, np.diff(w)
+    return d, D, w
 
 
 def differencing_orders(y: np.ndarray, m: int) -> tuple[int, int]:
-    """(d, D): one seasonal difference when seasonal strength >= 0.64,
-    then regular differences while KPSS rejects level stationarity."""
-    D, chain = _differencing_chain(np.asarray(y, dtype=float), m)
-    return len(chain) - 1, D
+    """(d, D) of ``_differencing_chain``: a seasonal difference when seasonal
+    strength >= 0.64, then regular differences while KPSS rejects level stationarity."""
+    d, D, _ = _differencing_chain(np.asarray(y, dtype=float), m)
+    return d, D
 
 
 def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < 20:
+    if n < MIN_OBS:
         raise InsufficientDataError(
-            f"auto ARIMA needs at least 20 observations, got {n}"
+            f"auto ARIMA needs at least {MIN_OBS} observations, got {n}"
         )
     seasonal_ok = m > 1 and n >= 3 * m
-    # the chain of partially differenced series, for integrating forecasts;
-    # the fit runs on its last one
-    D, chain = _differencing_chain(y, m)
-    d, w = len(chain) - 1, chain[-1]
+    d, D, w = _differencing_chain(y, m)
     use_intercept = (d + D) == 0
 
     start = [(2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
@@ -361,7 +359,6 @@ def arima_fit(y: np.ndarray, m: int) -> ARIMAFit:
         ma_poly=best["ma_poly"],
         residuals=best["eps"],
         w=w,
-        chain=tuple(chain),
         history=y,
         candidates=candidates,
     )
@@ -375,40 +372,26 @@ def _difference_poly(d: int, D: int, m: int) -> np.ndarray:
 
 
 def forecast_arima(fit: ARIMAFit, h: int, levels=None):
-    """Mean by lag recursion, variance by psi-weight accumulation."""
-    order = fit.order
+    """Mean by the lag recursion of the integrated AR polynomial
+    phi(B)(1-B)^d(1-B^m)^D on the history, with the residuals (which end with
+    it) as past shocks and zero future ones; variance by its psi-weights."""
+    order, ma_poly = fit.order, fit.ma_poly
     c = order.intercept or 0.0
-    ar_poly, ma_poly = fit.ar_poly, fit.ma_poly
-    w_ext = list(fit.w)
-    eps_ext = list(fit.residuals)
-    n_ar, n_ma = len(ar_poly) - 1, len(ma_poly) - 1
+    full_ar = np.convolve(fit.ar_poly, _difference_poly(order.d, order.D, order.m))
+    y_ext, eps_ext = list(fit.history), list(fit.residuals)
     for _ in range(h):
         val = c
-        for i in range(1, n_ar + 1):
-            val -= ar_poly[i] * w_ext[-i]
-        for j in range(1, min(n_ma, len(eps_ext)) + 1):
+        for i in range(1, len(full_ar)):
+            val -= full_ar[i] * y_ext[-i]
+        for j in range(1, min(len(ma_poly), len(eps_ext) + 1)):
             val += ma_poly[j] * eps_ext[-j]
-        w_ext.append(val)
+        y_ext.append(val)
         eps_ext.append(0.0)  # future innovations are zero
-    w_fore = np.array(w_ext[len(fit.w):])
-
-    # integrate the regular differences back through the chain
-    fore = w_fore
-    for series in reversed(fit.chain[:-1]):
-        fore = np.cumsum(fore) + series[-1]
-    # then the seasonal difference against the original history
-    if order.D:
-        hist = list(fit.history)
-        out = []
-        for k in range(h):
-            out.append(fore[k] + hist[-order.m])
-            hist.append(out[-1])
-        fore = np.array(out)
+    fore = np.array(y_ext[len(fit.history):])
 
     if levels is None:
         return fore, None
     from scipy.signal import lfilter
-    full_ar = np.convolve(ar_poly, _difference_poly(order.d, order.D, order.m))
     impulse = np.zeros(h)
     impulse[0] = 1.0
     psi = lfilter(ma_poly, full_ar, impulse)

@@ -19,7 +19,7 @@ from agentcast.agent import (
 from agentcast.errors import AgentError, ConfigError, RequestError
 from agentcast.features import compute_features
 from agentcast.llm import LLMConfig
-from agentcast.models import available_models
+from agentcast.models import arima, available_models
 from agentcast.panel import ForecastEntry, ForecastFrame, Frequency, frames_to_csv, future_grid
 
 from conftest import make_panel
@@ -104,6 +104,16 @@ class TestProposeCandidates:
         )
         aliases = [c.alias for c in propose_candidates(profile)]
         assert aliases == ["naive", "ses"]
+
+    @pytest.mark.parametrize(
+        "n, want", [(arima.MIN_OBS, ["naive", "autoarima"]), (arima.MIN_OBS - 1, ["naive", "ses"])]
+    )
+    def test_stationary_series_adds_autoarima_from_its_minimum_length(self, n, want):
+        # autoarima's own minimum length gates the rule table's last pick
+        profile = seasonal_profile(
+            n=n, seasonal_strength=0.1, trend_strength=0.1, kpss_nonstationary=False
+        )
+        assert [c.alias for c in propose_candidates(profile)] == want
 
     def test_budget_truncation(self):
         candidates = propose_candidates(seasonal_profile(), AgentConfig(budget=2))
@@ -467,8 +477,9 @@ class TestRunAgent:
         # aliases (rule-table fallback). The digest covers the URL, the raw
         # body and the sorted headers of all six requests, then both
         # results' JSON.  Re-frozen when the ARIMA fit moved to
-        # Levenberg-Marquardt and when its Jacobian became analytic: the
-        # fallback run's autoarima MASE and CRPS.
+        # Levenberg-Marquardt, when its Jacobian became analytic and when its
+        # forecast mean moved to the integrated AR polynomial: the fallback
+        # run's autoarima MASE and CRPS.
         digest = hashlib.sha256()
 
         def transport(url, body, headers, timeout):
@@ -494,5 +505,5 @@ class TestRunAgent:
             assert replies == []
             digest.update(result.to_json().encode())
         assert digest.hexdigest() == (
-            "4760a59451aa99eee18ed7b31e84906c5abccc420f2a710c3eedaf44d9e4dcde"
+            "43cad07ab58921da75bafaf58fd22ae987ad4644002a56b5192fd67ebcb0ebd5"
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -58,7 +59,10 @@ def test_removed_name_does_not_resolve(name):
         assert owners
         assert all(argument[2] not in inspect.signature(owner).parameters for owner in owners)
     elif "." in name:
+        # a dataclass field without a default is no class attribute
         owner, attr = name.split(".")
-        assert not any(hasattr(obj, attr) for obj in find(owner))
+        for obj in find(owner):
+            fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+            assert not hasattr(obj, attr) and attr not in {field.name for field in fields}
     else:
         assert find(name) == []

@@ -607,6 +607,10 @@ class TestAutoARIMA:
         # coefficients, kept all but its candidate table's digest.  Re-frozen
         # when the Jacobian became analytic: same orders, AirPassengers' AICc
         # moved by 4e-10 and white noise's not at all, drift kept its bytes.
+        # Re-frozen when the forecast mean moved from the differencing chain to
+        # the integrated AR polynomial (checked against the chain by
+        # test_integrated_mean_matches_the_differencing_chain): only
+        # AirPassengers' mean and quantiles moved, by at most 5e-15 relative.
         # AirPassengers covers the seasonal difference and the P/Q
         # polynomials, white noise the intercept, the drift series d=1.
         white = np.random.default_rng(0).normal(5.0, 2.0, 300)
@@ -631,8 +635,8 @@ class TestAutoARIMA:
         assert digests == {
             "airpassengers": (
                 "ARIMA(3,1,1)(1,1,0)[12]",
-                "5dbbb63277732bcf43f02977539dd2aaaec0c39550dedd393b35a4c113389a5f",
-                "b645d85e6148ba4c16bb965822c7891a23a93334db5a7fab0d0c587941bb3a3b",
+                "ed967cad240ce49a86947ff359812b65be2e2e9ef0436b014f96f7005de9b035",
+                "dcd5efaeec4b74ba122fa3646f90a0debda0c7b448a89063c0328eb973c25216",
                 "b97db0493c46f65b232401932d7f295d3e7cd7ad1b301f53f0b0e0bdc3589081",
                 "6d2beb8e9412ded6d45723e874c234982e42da59041a3744151ee2c66d35efbd",
             ),
@@ -651,6 +655,54 @@ class TestAutoARIMA:
                 "c66939a8f4e65fde76f150ebc798a8e07ebf4382ebb233909adf7546bea399fe",
             ),
         }
+
+    def test_integrated_mean_matches_the_differencing_chain(self, air_passengers):
+        # The oracle: the ARMA recursion on the differenced series w, then a
+        # cumsum per regular difference back through the chain of partially
+        # differenced series, then the seasonal re-integration against the
+        # history.  Fits covering (d, D) = (0,0) with an intercept, (1,0),
+        # (2,0), (0,1) and (1,1); h = 30 spans more than two seasons.
+        h = 30
+        ar1 = lfilter([1.0], [1.0, -0.6], np.random.default_rng(3).normal(0.0, 1.0, 200))
+        y = air_passengers["AirPassengers"].values
+        cases = [
+            (np.random.default_rng(0).normal(5.0, 2.0, 300), 1, (0, 0)),
+            (np.cumsum(ar1) + 50.0, 1, (1, 0)),
+            (np.cumsum(np.cumsum(np.random.default_rng(4).normal(0.1, 1.0, 150))), 1, (2, 0)),
+            (y[:132], 12, (0, 1)),
+            (y, 12, (1, 1)),
+        ]
+        for series, m, (d, D) in cases:
+            fit = arima_fit(series, m)
+            order = fit.order
+            assert (order.d, order.D) == (d, D)
+            assert (order.intercept is not None) == (d + D == 0)
+            chain = [series[m:] - series[:-m] if D else series]
+            for _ in range(d):
+                chain.append(np.diff(chain[-1]))
+            assert chain[-1].tobytes() == fit.w.tobytes()
+            w_ext, eps_ext = list(fit.w), list(fit.residuals)
+            for _ in range(h):
+                val = order.intercept or 0.0
+                val -= np.dot(fit.ar_poly[1:], w_ext[: -len(fit.ar_poly) : -1])
+                val += np.dot(fit.ma_poly[1:], eps_ext[: -len(fit.ma_poly) : -1])
+                w_ext.append(val)
+                eps_ext.append(0.0)
+            want = np.array(w_ext[len(fit.w):])
+            for level in reversed(chain[:-1]):
+                want = np.cumsum(want) + level[-1]
+            if D:
+                history = list(series)
+                for k in range(h):
+                    history.append(want[k] + history[-m])
+                want = np.array(history[len(series):])
+            mean, _ = forecast_arima(fit, h, None)
+            np.testing.assert_allclose(mean, want, rtol=1e-12, atol=0.0)
+
+    def test_order_with_too_few_points_is_not_estimable(self):
+        # (3,3)(1,1)[12] has 8 coefficients and burns 15 of 20 points: 5 left
+        w = np.random.default_rng(5).normal(0.0, 1.0, 20)
+        assert _fit_candidate(w, 3, 3, 1, 1, 12, False) is None
 
     def test_warm_start_search(self, air_passengers, monkeypatch):
         # Residual passes, Jacobian passes and Levenberg-Marquardt runs,

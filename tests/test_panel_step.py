@@ -23,9 +23,10 @@ from test_evaluation import seeded_month_end_panel
 # then each entry's fallback flag, on AirPassengers and the seeded
 # month-end panel at the default levels and at None; frozen before the
 # panel step existed, re-frozen when the ARIMA fit moved to
-# Levenberg-Marquardt and when its Jacobian became analytic (only
-# autoarima's rows move).
-FORECAST_PATH_DIGEST = "cfd8ec522aa3dc2cc62bb6d389ee2d4f342f79e03b40452df668693e8df2d900"
+# Levenberg-Marquardt, when its Jacobian became analytic and when its
+# forecast mean moved to the integrated AR polynomial (only autoarima's
+# rows move).
+FORECAST_PATH_DIGEST = "7dccd97de9e02cb5077264a2d09ea725b9c1e65c4f656659c649f004842dae98"
 
 
 def test_forecast_path_digest(monkeypatch):
