@@ -10,8 +10,11 @@ A CV fold of a remote model is one step; an ensemble combines its
 members' folds, one block per fold (``_combine``).  The remote step is
 one JSON request (POST {base}/forecast) through the retrying client in
 ``_http``, whose response must hold ``h`` finite values for the mean and
-for each requested level.
-A threaded stub server mirroring any builtin model backs the tests.
+for each requested level.  The client keeps HTTP/1.1 connections alive,
+one per request in flight.
+A threaded stub server mirroring any builtin model backs the tests.  It
+speaks HTTP/1.1 with TCP_NODELAY, reads each request body before it
+replies, and ends its kept-alive connections on close().
 
 Wire format, request:  {"id", "freq", "ds", "y", "h", "levels"}
            response:   {"model", "mean", "quantiles"?, "elapsed_ms"}
@@ -22,6 +25,7 @@ timestamps as ISO-8601 text.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.parse
@@ -234,6 +238,12 @@ class EnsembleForecaster(Forecaster):
 class _StubHandler(BaseHTTPRequestHandler):
     stub: "StubServer"  # bound by StubServer
 
+    # Keep-alive: without TCP_NODELAY, Nagle's algorithm holds back the
+    # body (a second write after the headers) until the client's delayed
+    # ACK, about 40 ms on every kept-alive reply.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):
         pass
 
@@ -246,7 +256,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
         except OSError:
-            pass  # client gave up (e.g. timed out); nothing to answer
+            self.close_connection = True  # client gave up (e.g. timed out)
 
     def do_GET(self):
         stub = self.stub
@@ -263,6 +273,17 @@ class _StubHandler(BaseHTTPRequestHandler):
             stub.requests += 1
             injected = stub.failures.popleft() if stub.failures else None
             delay = stub.delay_s
+        # The body is read before any reply: left unread on a kept-alive
+        # connection, it would be parsed as the next request.
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0 or "Transfer-Encoding" in self.headers:
+                raise ValueError
+        except ValueError:
+            self.close_connection = True  # where this request ends is unknown
+            self._send(400, {"error": "a request body needs a valid Content-Length"})
+            return
+        body = self.rfile.read(length)
         if delay:
             time.sleep(delay)
         if injected is not None:
@@ -272,9 +293,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no such path {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            data = json.loads(self.rfile.read(length).decode("utf-8"))
-            response = _stub_forecast(stub.alias, data)
+            response = _stub_forecast(stub.alias, json.loads(body.decode("utf-8")))
         except Exception as exc:
             self._send(400, {"error": str(exc)})
             return
@@ -309,7 +328,34 @@ def _stub_forecast(alias: str, data: dict) -> dict:
 
 
 class _QuietServer(ThreadingHTTPServer):
+    """Tracks the connections it holds open, so close() can end them."""
+
     daemon_threads = True
+
+    def __init__(self, *args):
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        with self.connections_lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.connections_lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self.connections_lock:
+            held = list(self.connections)
+        for request in held:
+            try:
+                request.shutdown(socket.SHUT_RDWR)  # wakes its handler thread
+            except OSError:
+                pass
 
     def handle_error(self, request, client_address):
         pass  # dropped connections are expected in the timeout tests
@@ -349,6 +395,7 @@ class StubServer:
             self.delay_s = seconds
 
     def close(self) -> None:
+        """Stop serving and end every kept-alive connection."""
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5.0)

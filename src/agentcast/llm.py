@@ -4,7 +4,8 @@ The wire format is the OpenAI-compatible one: POST {endpoint}/chat/completions
 with {"model", "temperature": 0.0, "messages", "tools"?}, where "messages" is
 one system and one user message, and a bearer credential from a configured
 environment variable.  Requests go through the same retrying client as
-``adapter:`` models (``_http``), whose transport callable can be injected
+``adapter:`` models (``_http``), which keeps the connection alive between
+calls, and whose transport callable can be injected
 for testing; it receives (url, body_bytes, headers, timeout) and
 returns (status_code, response_bytes).
 """

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import socketserver
 import threading
@@ -97,6 +98,28 @@ class TypeErrorForecaster(Forecaster):
         raise TypeError("unsupported operand type(s)")
 
 
+def json_reply(payload) -> bytes:
+    """A complete HTTP/1.1 200 reply carrying ``payload`` as JSON; it does
+    not ask the client to close the connection."""
+    body = json.dumps(payload).encode()
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def count_connections(server):
+    """The list of sockets ``server`` (a socketserver) accepts from now on:
+    its ``get_request`` is wrapped to record each one."""
+    accepted = []
+    get_request = server.get_request
+
+    def recording():
+        request = get_request()
+        accepted.append(request[0])
+        return request
+
+    server.get_request = recording
+    return accepted
+
+
 # Headers promise 100 bytes and 11 follow before the connection closes, so
 # http.client raises IncompleteRead while reading the body.
 TRUNCATED_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"mean": [1'
@@ -104,14 +127,17 @@ TRUNCATED_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"mean":
 
 class RawReplyServer:
     """Reads each HTTP request in full, then writes ``reply`` to the raw
-    socket as it is and closes, so a reply can be truncated or malformed."""
+    socket as it is and closes, so a reply can be truncated or malformed.
+    ``request_lines`` holds each request's first line."""
 
     def __init__(self, reply: bytes):
         self.requests = 0
+        self.request_lines = []
         owner = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
+                owner.request_lines.append(self.rfile.readline().decode().rstrip("\r\n"))
                 length = 0
                 while (line := self.rfile.readline()) not in (b"\r\n", b""):
                     name, _, value = line.partition(b":")

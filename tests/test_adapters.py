@@ -1,5 +1,9 @@
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -26,7 +30,13 @@ from agentcast.errors import (
 )
 from agentcast.models import Forecaster, available_models, get_model
 
-from conftest import TRUNCATED_REPLY, RawReplyServer, make_panel
+from conftest import (
+    TRUNCATED_REPLY,
+    RawReplyServer,
+    count_connections,
+    json_reply,
+    make_panel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +204,49 @@ class TestStubServer:
                     )
         finally:
             server.close()
+
+    def test_injected_failure_keeps_the_connection_in_step(self):
+        server = serve_stub(alias="naive")
+        accepted = count_connections(server.server)
+        payload = json.dumps(
+            {"id": "s", "freq": "M", "ds": ["2020-01-01", "2020-02-01"], "y": [1.0, 2.0], "h": 2}
+        )
+        conn = http.client.HTTPConnection(*server.server.server_address[:2], timeout=5)
+        try:
+            server.inject_failures([500])
+            replies = []
+            for _ in range(2):
+                conn.request("POST", "/forecast", payload)
+                response = conn.getresponse()
+                replies.append((response.status, response.will_close, json.loads(response.read())))
+        finally:
+            conn.close()
+            server.close()
+        assert replies[0] == (500, False, {"error": "injected failure"})
+        assert replies[1][:2] == (200, False)
+        assert replies[1][2]["mean"] == [2.0, 2.0]
+        assert len(accepted) == 1
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_a_400_and_closes(self, stub, length):
+        with socket.create_connection(stub.server.server_address[:2], timeout=5) as sock:
+            sock.sendall(
+                f"POST /forecast HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            reply = sock.makefile("rb").read()  # up to the server's close
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"valid Content-Length" in reply
+
+    def test_close_ends_kept_connections(self):
+        server = serve_stub(alias="naive")
+        panel = make_panel({"s": [1.0, 2.0, 3.0]})
+        spec = adapter_spec(server.url, max_retries=0)
+        remote_forecast(spec, panel, 2)  # leaves a kept connection in the client's pool
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 5.0
+        with pytest.raises(TransportError):
+            remote_forecast(spec, panel, 2)
 
 
 class TestRetryPolicy:
@@ -384,3 +437,136 @@ class TestResponseValues:
                 remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
         finally:
             server.shutdown()
+
+
+def no_sleep(seconds):
+    raise AssertionError(f"backoff sleep of {seconds} s")
+
+
+class TestConnectionPool:
+    """The default transport keeps one HTTP/1.1 connection per request in flight."""
+
+    def test_sequential_forecasts_share_one_connection(self):
+        server = serve_stub(alias="seasonalnaive")
+        accepted = count_connections(server.server)
+        try:
+            panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+            spec = adapter_spec(server.url)
+            for _ in range(20):
+                remote_forecast(spec, panel, 3)
+            assert server.request_count == 20
+            # Nagle's algorithm would hold each reply's body back for the
+            # client's delayed ACK.
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            server.close()
+        assert len(accepted) == 1
+
+    def test_cv_at_two_jobs_opens_at_most_two_connections(self):
+        server = serve_stub(alias="seasonalnaive")
+        accepted = count_connections(server.server)
+        try:
+            panel = make_panel({f"s{i}": [float(v + i) for v in range(1, 25)] for i in range(8)})
+            remote = RemoteForecaster(adapter_spec(server.url))
+            cv = cross_validate(panel, [remote], 3, n_windows=3, n_jobs=2)
+            assert not cv.failed.any()
+            assert server.request_count == 24
+        finally:
+            server.close()
+        assert 1 <= len(accepted) <= 2
+
+    def test_threads_never_share_a_connection(self):
+        server = serve_stub(alias="naive")
+        accepted = count_connections(server.server)
+        spec = adapter_spec(server.url, max_retries=0)
+        results, errors = {}, []
+
+        def worker(i):
+            try:
+                for j in range(10):
+                    last = float(100 * i + j)  # naive forecasts the last value
+                    frame = remote_forecast(spec, make_panel({"s": [1.0, last]}), 1, levels=None)
+                    results[i, j] = float(frame["s"].mean[0])
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {(i, j): float(100 * i + j) for i in range(4) for j in range(10)}
+        assert 1 <= len(accepted) <= 4
+
+    def test_stale_connection_is_resent_once_without_a_retry(self, monkeypatch):
+        # The server closes every connection after one reply that does not
+        # say so, so the second request first meets a stale connection.
+        server = RawReplyServer(json_reply({"model": "x", "mean": [1.0, 2.0], "elapsed_ms": 1}))
+        monkeypatch.setattr("agentcast._http.time.sleep", no_sleep)
+        try:
+            panel = make_panel({"s": [1.0, 2.0, 3.0]})
+            spec = adapter_spec(server.url, max_retries=0)
+            for _ in range(2):
+                frame = remote_forecast(spec, panel, 2, levels=None)
+                np.testing.assert_array_equal(frame["s"].mean, [1.0, 2.0])
+            assert server.requests == 2
+        finally:
+            server.close()
+
+    def test_timed_out_request_leaves_no_late_reply(self):
+        server = serve_stub(alias="naive")
+        try:
+            server.set_delay(0.3)
+            with pytest.raises(TransportError, match="timed out"):
+                remote_forecast(
+                    adapter_spec(server.url, timeout=0.1, max_retries=0),
+                    make_panel({"s": [1.0, 2.0, 3.0]}), 2,
+                )
+            server.set_delay(0.0)
+            time.sleep(0.3)  # the late reply has gone out by now
+            frame = remote_forecast(
+                adapter_spec(server.url, max_retries=0), make_panel({"s": [7.0, 8.0, 9.0]}), 2
+            )
+            np.testing.assert_array_equal(frame["s"].mean, [9.0, 9.0])
+        finally:
+            server.close()
+
+    def test_proxied_url_goes_through_urllib(self, monkeypatch):
+        proxy = RawReplyServer(json_reply({"model": "x", "mean": [1.0, 2.0], "elapsed_ms": 1}))
+        for name in ("HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", proxy.url)
+        target = "http://127.0.0.2:9"  # nothing listens there: a direct request is refused
+        try:
+            panel = make_panel({"s": [1.0, 2.0, 3.0]})
+            frame = remote_forecast(adapter_spec(target, max_retries=0), panel, 2, levels=None)
+            np.testing.assert_array_equal(frame["s"].mean, [1.0, 2.0])
+        finally:
+            proxy.close()
+        assert proxy.request_lines == [f"POST {target}/forecast HTTP/1.1"]
+
+    def test_no_proxy_host_uses_the_pool(self, monkeypatch):
+        proxy = RawReplyServer(json_reply({"model": "x", "mean": [1.0, 2.0], "elapsed_ms": 1}))
+        server = serve_stub(host="127.0.0.3", alias="naive")
+        monkeypatch.delenv("HTTP_PROXY", raising=False)
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("no_proxy", "127.0.0.3")
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        try:
+            frame = remote_forecast(
+                adapter_spec(server.url, max_retries=0), make_panel({"s": [1.0, 2.0, 3.0]}), 2
+            )
+            np.testing.assert_array_equal(frame["s"].mean, [3.0, 3.0])
+            assert server.request_count == 1
+        finally:
+            server.close()
+            proxy.close()
+        assert proxy.requests == 0

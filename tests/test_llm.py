@@ -1,11 +1,13 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from agentcast.errors import ConfigError, ProtocolError, RequestError, TransportError
 from agentcast.llm import LLMConfig, ToolCall, ToolSpec, llm_chat
 
-from conftest import TRUNCATED_REPLY, RawReplyServer
+from conftest import TRUNCATED_REPLY, RawReplyServer, count_connections
 
 
 def completion(text):
@@ -219,3 +221,31 @@ class TestSharedClient:
             assert server.requests == 3
         finally:
             server.close()
+
+    def test_calls_share_one_kept_connection(self):
+        class ChatHandler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps(completion("ok")).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), ChatHandler)
+        server.daemon_threads = True
+        accepted = count_connections(server)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            config = fast_config(endpoint=f"http://127.0.0.1:{server.server_address[1]}")
+            assert [llm_chat(config, *PROMPT) for _ in range(2)] == ["ok", "ok"]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(accepted) == 1
