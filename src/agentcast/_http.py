@@ -13,7 +13,8 @@ the policy values when an adapter spec or an LLM config is built.
 
 The default transport keeps HTTP/1.1 connections alive.  Idle
 connections wait in a pool keyed by scheme and host:port, so a process
-holds at most one per request in flight to each server.  A connection
+holds at most one per request in flight to each server, and closes them
+when the interpreter exits.  A connection
 goes back to the pool only once its whole reply has been read and the
 server has not asked to close it; any exception closes it, so a reply
 that arrives after a timeout is never read as the answer to the next
@@ -27,6 +28,7 @@ idle, so a connection that is kept stays direct.
 
 from __future__ import annotations
 
+import atexit
 import http.client
 import json
 import threading
@@ -51,6 +53,17 @@ _STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # Idle kept-alive connections by (scheme, host:port).
 _idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
 _idle_lock = threading.Lock()
+
+
+@atexit.register
+def _close_idle() -> None:
+    """Close every idle kept connection, so none is left for the
+    interpreter's teardown to find open."""
+    with _idle_lock:
+        for conns in _idle.values():
+            for conn in conns:
+                conn.close()
+        _idle.clear()
 
 
 def check_policy(policy):

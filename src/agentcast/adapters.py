@@ -122,8 +122,11 @@ def resolve_models(models) -> list[Forecaster]:
     return forecasters
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
+def _round12(values) -> list[float]:
+    """Each value rounded to 12 significant digits, as ``float(f"{x:.12g}")``,
+    through one %-template for the whole array."""
+    values = np.asarray(values, dtype=float).tolist()
+    return list(map(float, ("%.12g," * len(values) % tuple(values)).split(",")[:-1]))
 
 
 def _level_key(level: float) -> str:
@@ -190,7 +193,7 @@ class RemoteForecaster(Forecaster):
             "id": key,
             "freq": freq.unit,
             "ds": [format_timestamp(ts) for ts in series.timestamps],
-            "y": [_round12(v) for v in series.values],
+            "y": _round12(series.values),
             "h": h,
             "levels": [float(lv) for lv in (levels or ())],
         }
@@ -316,12 +319,12 @@ def _stub_forecast(alias: str, data: dict) -> dict:
     entry = frame[data["id"]]
     response = {
         "model": alias,
-        "mean": [_round12(v) for v in entry.mean],
+        "mean": _round12(entry.mean),
         "elapsed_ms": int((time.monotonic() - started) * 1000.0),
     }
     if frame.levels is not None:
         response["quantiles"] = {
-            _level_key(level): [_round12(v) for v in entry.quantiles[:, j]]
+            _level_key(level): _round12(entry.quantiles[:, j])
             for j, level in enumerate(frame.levels)
         }
     return response

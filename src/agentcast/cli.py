@@ -128,12 +128,12 @@ def _cmd_agent(args) -> int:
     )
     result = run_agent(panel, query=args.query, h=args.h, config=config, llm_config=llm_config)
     _emit_csv(frames_to_csv([result.frame]), args.output or sys.stdout)
-    report = [
-        f"selected: {result.selected}",
-        f"rationale: {result.rationale}",
-        f"explanation: {result.explanation}",
-        f"answer: {result.user_query_response}",
-    ]
+    report = (
+        f"selected: {result.selected}\n"
+        f"rationale: {result.rationale}\n"
+        f"explanation: {result.explanation}\n"
+        f"answer: {result.user_query_response}\n"
+    )
     _emit_csv(report, args.report or sys.stderr)
     return 0
 

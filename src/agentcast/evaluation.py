@@ -83,7 +83,7 @@ def rolling_cutoffs(n, h, n_windows=1, step=None) -> CutoffPlan:
     return CutoffPlan(h, n_windows, step, tuple(first + i * step for i in range(n_windows)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossValRow:
     """One forecast step of one (series, cutoff, model) fold.
 
@@ -177,21 +177,48 @@ class CrossValReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
-        # One %-template per fold, with "%" in a key or model name escaped;
+        """One line per forecast step, in ``rows`` order, written fold by
+        fold as it is formatted.  Each (series, fold)'s step, ``ds`` and
+        ``y`` cells are formatted once and shared by every model; a fold's
+        lines are then one %-template over its forecasts and quantiles."""
+        return _emit_csv(self._csv_chunks(), path_or_buffer)
+
+    def _csv_chunks(self):
+        # "%" in a key or model name is escaped before it enters a template,
+        # and the shared step cells (integers, ISO dates, numbers) hold none;
         # "%.12g" % x is "{:.12g}".format(x) for every float, nan and inf too.
+        yield self.csv_header() + "\n"
         stamp_text = {ts: format_timestamp(ts) for ts in set().union(*self.timestamps)}
         n_levels = 0 if self.levels is None else len(self.levels)
-        lines = [self.csv_header()]
-        for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
-            head = f"{key},{stamp_text[stamps[cutoff - 1]]},{model},".replace("%", "%%")
-            q_cells = (",nan" if q is None else ",%.12g") * n_levels
-            template = f"{head}%d,%s,%.12g,%.12g{q_cells},{'true' if failed else 'false'}"
-            ds = [stamp_text[ts] for ts in stamps[cutoff : cutoff + self.h]]
-            lines.extend(
-                template % (k, t, a, f, *r)
-                for k, t, a, f, r in zip(range(1, self.h + 1), ds, y, yhat, q or [()] * self.h)
-            )
-        return _emit_csv(lines, path_or_buffer)
+        folds = []  # per series, per fold: the line prefix and the h step cells
+        for key, stamps, cutoffs, y in zip(
+            self.series, self.timestamps, self.cutoffs.tolist(), self.y.tolist()
+        ):
+            key = key.replace("%", "%%")
+            folds.append([
+                (f"{key},{stamp_text[stamps[cutoff - 1]]},", [
+                    "%d,%s,%.12g" % (k + 1, stamp_text[stamps[cutoff + k]], a)
+                    for k, a in enumerate(fold_y)
+                ])
+                for cutoff, fold_y in zip(cutoffs, y)
+            ])
+        for model, yhat, q, failed in zip(
+            self.model_names, self.yhat, self.quantiles, self.failed.tolist()
+        ):
+            model = model.replace("%", "%%") + ","
+            if q is None:
+                cells, values = ",%.12g" + ",nan" * n_levels, yhat
+            else:
+                cells = ",%.12g" * (1 + n_levels)
+                values = np.concatenate([yhat[..., None], q], axis=-1)
+            tails = (cells + ",false\n", cells + ",true\n")
+            values = values.reshape(*values.shape[:2], -1)  # [series, fold, step x cell]
+            for series_folds, series_values, series_failed in zip(folds, values, failed):
+                for (prefix, steps), fold_values, fold_failed in zip(
+                    series_folds, series_values.tolist(), series_failed
+                ):
+                    head, tail = prefix + model, tails[fold_failed]
+                    yield (head + (tail + head).join(steps) + tail) % tuple(fold_values)
 
 
 def cross_validate(
@@ -456,13 +483,13 @@ class EvalReport:
         return ",".join(cells)
 
     def to_csv(self, path_or_buffer=None):
-        lines = [self.csv_header()]
+        lines = [self.csv_header() + "\n"]
         for s in self.scores:
             cells = [s.model, s.rank, s.mase, s.crps, s.coverage,
                      s.failures, s.mase_excluded, s.crps_excluded]
             if self.levels is not None:
                 cells.extend(s.pinball_by_level.get(l) for l in self.levels)
-            lines.append(",".join(map(_csv_cell, cells)))
+            lines.append(",".join(map(_csv_cell, cells)) + "\n")
         return _emit_csv(lines, path_or_buffer)
 
 

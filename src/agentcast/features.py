@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InsufficientDataError
-from .panel import SeriesPanel, _csv_cell, _emit_csv, _Keyed
+from .panel import SeriesPanel, _csv_cell, _Keyed
 
 # Centered moving-average window used for the trend when there is no
 # seasonal cycle (m = 1); must be odd.
@@ -241,7 +241,7 @@ class FeatureReport(_Keyed):
         names = [f.name for f in fields(FeatureRow)]
         rows = (",".join(_csv_cell(getattr(row, name)) for name in names)
                 for row in self._entries.values())
-        return _emit_csv([",".join(names), *rows])
+        return "\n".join([",".join(names), *rows]) + "\n"
 
 
 def _cells(values: np.ndarray) -> list[float | None]:

@@ -14,7 +14,8 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -257,11 +258,13 @@ class SeriesPanel(_Keyed):
 
     def to_csv(self, path_or_buffer=None):
         """Write the panel in long format; values at full (repr) precision."""
-        rows = [f"{DEFAULT_ID_COLUMN},{DEFAULT_TIME_COLUMN},{DEFAULT_VALUE_COLUMN}"]
-        for key, s in self._entries.items():
-            for ts, v in zip(s.timestamps, s.values):
-                rows.append(f"{key},{format_timestamp(ts)},{float(v)!r}")
-        return _emit_csv(rows, path_or_buffer)
+        header = f"{DEFAULT_ID_COLUMN},{DEFAULT_TIME_COLUMN},{DEFAULT_VALUE_COLUMN}\n"
+        chunks = (
+            "".join(f"{key},{format_timestamp(ts)},{float(v)!r}\n"
+                    for ts, v in zip(s.timestamps, s.values))
+            for key, s in self._entries.items()
+        )
+        return _emit_csv(chain((header,), chunks), path_or_buffer)
 
 
 def _csv_cell(value) -> str:
@@ -274,17 +277,20 @@ def _csv_cell(value) -> str:
     return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _emit_csv(lines: Sequence[str] | str, path_or_buffer=None):
-    """Join lines (or take a finished text); return the text, or write it to
-    a stream or, as UTF-8, to a path."""
-    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
+def _emit_csv(chunks: Iterable[str] | str, path_or_buffer=None):
+    """Write text chunks, each ending in a newline, to a stream or, as UTF-8,
+    to a path as they come; join them only to return the text when there is
+    no target.  A str is one chunk."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if path_or_buffer is None:
-        return text
+        return "".join(chunks)
     if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(text)
+        for chunk in chunks:
+            path_or_buffer.write(chunk)
     else:
         with open(path_or_buffer, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            fp.writelines(chunks)
     return None
 
 
@@ -521,4 +527,4 @@ def frames_to_csv(frames: Sequence[ForecastFrame]) -> str:
             raise ValueError("frames disagree on quantile levels")
         rows = f.to_csv_rows()
         lines.extend(rows if f.levels is not None else (row + pad for row in rows))
-    return _emit_csv(lines)
+    return "\n".join(lines) + "\n"

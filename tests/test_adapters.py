@@ -1,20 +1,25 @@
 import http.client
 import json
 import socket
+import struct
 import sys
 import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from agentcast._http import post_json
 from agentcast.adapters import (
     EnsembleForecaster,
     ModelSpec,
     RemoteForecaster,
+    _round12,
     parse_model_alias,
     remote_forecast,
     resolve_model,
@@ -50,8 +55,10 @@ def adapter_spec(url, **overrides):
     return parse_model_alias(f"adapter:{url}", **overrides)
 
 
+@contextmanager
 def canned_server(payload, status=200):
-    """Server that answers every POST with a fixed JSON payload."""
+    """Server that answers every POST with a fixed JSON payload; yields its
+    URL and closes its listening socket on exit."""
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):
@@ -67,7 +74,11 @@ def canned_server(payload, status=200):
     server = HTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestParseModelAlias:
@@ -292,14 +303,11 @@ class TestRetryPolicy:
 class TestProtocolValidation:
     def test_short_mean_is_a_protocol_error(self):
         payload = {"model": "liar", "mean": [1.0, 2.0], "elapsed_ms": 1}
-        server, url = canned_server(payload)
-        try:
+        with canned_server(payload) as url:
             panel = make_panel({"s": [1.0, 2.0, 3.0]})
             with pytest.raises(ProtocolError) as err:
                 remote_forecast(adapter_spec(url), panel, 3, levels=None)
             assert "3" in str(err.value) and "2" in str(err.value)
-        finally:
-            server.shutdown()
 
     def test_fixed_payload_round_trip(self):
         payload = {
@@ -308,14 +316,11 @@ class TestProtocolValidation:
             "quantiles": {"0.1": [4.0, 5.0], "0.9": [6.0, 7.0]},
             "elapsed_ms": 2,
         }
-        server, url = canned_server(payload)
-        try:
+        with canned_server(payload) as url:
             panel = make_panel({"s": [1.0, 2.0, 3.0]})
             frame = remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
             np.testing.assert_array_equal(frame["s"].mean, [5.0, 6.0])
             np.testing.assert_array_equal(frame["s"].quantiles, [[4.0, 6.0], [5.0, 7.0]])
-        finally:
-            server.shutdown()
 
     def test_missing_level_is_a_protocol_error(self):
         payload = {
@@ -324,13 +329,10 @@ class TestProtocolValidation:
             "quantiles": {"0.1": [4.0, 5.0]},
             "elapsed_ms": 2,
         }
-        server, url = canned_server(payload)
-        try:
+        with canned_server(payload) as url:
             panel = make_panel({"s": [1.0, 2.0, 3.0]})
             with pytest.raises(ProtocolError):
                 remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
-        finally:
-            server.shutdown()
 
     @pytest.mark.parametrize("levels", [(), (0.9, 0.1), (0.0, 0.5), (0.5, 1.5)])
     def test_invalid_levels_rejected_before_any_request(self, levels):
@@ -417,26 +419,41 @@ class TestResponseValues:
         ids=["nan-mean", "infinite-quantile"],
     )
     def test_rejected_at_the_boundary(self, payload, field):
-        server, url = canned_server(payload)
-        try:
+        with canned_server(payload) as url:
             panel = make_panel({"s": [float(v) for v in range(1, 25)]})
             spec = adapter_spec(url, backoff_ms=1.0)
             with pytest.raises(ProtocolError, match=f"{field} for 's' are not all finite"):
                 remote_forecast(spec, panel, 2, levels=(0.1, 0.9))
             cv = cross_validate(panel, [RemoteForecaster(spec)], 2, levels=(0.1, 0.9))
             assert cv.failed.all()
-        finally:
-            server.shutdown()
 
     @pytest.mark.parametrize("mean", [["x", 2.0], [[1.0], [2.0]]], ids=["text", "nested"])
     def test_non_numeric_value_is_a_protocol_error(self, mean):
-        server, url = canned_server(finite_reply(mean=mean))
-        try:
+        with canned_server(finite_reply(mean=mean)) as url:
             panel = make_panel({"s": [float(v) for v in range(1, 25)]})
             with pytest.raises(ProtocolError, match="not a number"):
                 remote_forecast(adapter_spec(url), panel, 2, levels=(0.1, 0.9))
-        finally:
-            server.shutdown()
+
+
+ROUNDING_CELLS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, float("nan"), float("inf"), -float("inf"),
+    0.1 + 0.2, 1.0 / 3.0, 123456789.12345678, -9007199254740993.0, 2.718281828459045,
+]
+
+
+class TestRound12:
+    """The payload and stub rounding through one template, against the
+    per-value ``float(f"{x:.12g}")`` it replaced."""
+
+    @given(st.lists(st.floats(), max_size=130))
+    @example(ROUNDING_CELLS)
+    def test_matches_per_value_rounding_bit_for_bit(self, values):
+        got = _round12(np.array(values, dtype=float))
+        want = [float(f"{x:.12g}") for x in values]
+        assert all(type(v) is float for v in got)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+        assert json.dumps(got) == json.dumps(want)
 
 
 def no_sleep(seconds):

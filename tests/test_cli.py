@@ -348,22 +348,22 @@ class TestUsageErrors:
 
 class TestServeStubCommand:
     def test_serves_health_over_http(self):
-        process = subprocess.Popen(
+        # leaving the with block closes both pipes and waits for the exit
+        with subprocess.Popen(
             [sys.executable, "-m", "agentcast.cli", "serve-stub", "--model", "naive"],
             env=src_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            url = process.stdout.readline().strip()
-            assert url.startswith("http://127.0.0.1:")
-            with urllib.request.urlopen(f"{url}/health", timeout=5) as resp:
-                payload = json.loads(resp.read())
-            assert payload == {"status": "ok", "model": "naive"}
-        finally:
-            process.terminate()
-            process.wait(timeout=10)
+        ) as process:
+            try:
+                url = process.stdout.readline().strip()
+                assert url.startswith("http://127.0.0.1:")
+                with urllib.request.urlopen(f"{url}/health", timeout=5) as resp:
+                    payload = json.loads(resp.read())
+                assert payload == {"status": "ok", "model": "naive"}
+            finally:
+                process.terminate()
 
 
 class TestAdapterTransportFault:

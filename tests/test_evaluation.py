@@ -1,7 +1,11 @@
 import calendar
 import dataclasses
 import hashlib
+import io
+import math
+import os
 import re
+import tempfile
 import threading
 from datetime import datetime
 
@@ -401,6 +405,35 @@ class TestCrossValReportArrays:
                                 assert row.quantiles == tuple(cv.quantiles[mi][si, fi, k])
         assert i == len(rows)
 
+    def test_row_is_slotted_and_keeps_its_dataclass_behaviour(self):
+        # the same fields in a frozen dataclass without slots
+        plain = dataclasses.make_dataclass(
+            "CrossValRow",
+            [(f.name, f.type) if f.default is dataclasses.MISSING
+             else (f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(CrossValRow)],
+            frozen=True,
+        )
+        cells = ("k", 7, datetime(2020, 7, 1), "naive", 1, datetime(2020, 8, 1), 3.5, 4.0,
+                 (3.0, 5.0))
+        row, twin, ref = CrossValRow(*cells), CrossValRow(*cells), plain(*cells)
+        assert not hasattr(row, "__dict__")
+        assert CrossValRow.__slots__ == tuple(f.name for f in dataclasses.fields(plain))
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(row)] == [
+            (f.name, f.type, f.default) for f in dataclasses.fields(ref)
+        ]
+        assert row == twin and row is not twin
+        assert repr(row) == repr(ref)
+        assert hash(row) == hash(twin) == hash(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.yhat = 0.0
+        failed = dataclasses.replace(row, yhat=float("nan"), quantiles=None, failed=True)
+        assert type(failed) is CrossValRow and row.failed is False
+        assert repr(failed) == repr(dataclasses.replace(ref, yhat=float("nan"),
+                                                        quantiles=None, failed=True))
+        assert failed != row
+        assert dataclasses.replace(failed, yhat=4.0, quantiles=(3.0, 5.0), failed=False) == row
+
 
 def seeded_month_end_panel(seed=2024, n_series=40):
     """Seeded monthly panel anchored on the 31st of several months, so most
@@ -653,6 +686,54 @@ def report_of_cells(cells, levels):
     )
 
 
+CSV_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+CSV_NAMES = st.text("ab%sd1_-", min_size=1, max_size=6)
+
+
+@st.composite
+def cv_reports(draw):
+    """A CrossValReport drawn cell by cell: keys and model names that hold
+    "%", any float (NaN, ±inf and -0.0 too), failed folds, quantile-free
+    models next to models with quantiles, h from 1 and 1 to 3 windows."""
+    h = draw(st.integers(1, 4))
+    n_windows = draw(st.integers(1, 3))
+    step = draw(st.integers(1, h))
+    levels = draw(st.none() | st.lists(
+        st.sampled_from(DEFAULT_LEVELS), min_size=1, max_size=3, unique=True
+    ).map(lambda ls: tuple(sorted(ls))))
+    keys = draw(st.lists(CSV_NAMES, min_size=1, max_size=3, unique=True))
+    models = draw(st.lists(CSV_NAMES, min_size=1, max_size=3, unique=True))
+    S, M, L = len(keys), len(models), len(levels or ())
+
+    def floats(*shape):
+        return np.array(draw(st.lists(
+            CSV_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)
+        )), dtype=float).reshape(shape)
+
+    timestamps, cutoffs = [], []
+    for si in range(S):
+        first = draw(st.integers(1, 4))
+        n = first + (n_windows - 1) * step + h + draw(st.integers(0, 2))
+        start = draw(st.integers(0, 11))
+        timestamps.append(tuple(
+            datetime(2000 + (start + i) // 12, (start + i) % 12 + 1, 1) for i in range(n)
+        ))
+        cutoffs.append([first + fi * step for fi in range(n_windows)])
+    failed = np.array(draw(st.lists(
+        st.booleans(), min_size=M * S * n_windows, max_size=M * S * n_windows
+    ))).reshape(M, S, n_windows)
+    yhat = np.where(failed[..., None], np.nan, floats(M, S, n_windows, h))
+    quantiles = tuple(
+        np.where(failed[mi, ..., None, None], np.nan, floats(S, n_windows, h, L))
+        if levels is not None and draw(st.booleans()) else None
+        for mi in range(M)
+    )
+    return CrossValReport(
+        tuple(models), tuple(keys), tuple(timestamps), np.array(cutoffs),
+        floats(S, n_windows, h), yhat, quantiles, failed, levels, h, n_windows, step,
+    )
+
+
 class TestCrossValCsvWriter:
     @pytest.mark.parametrize("levels", [(0.1, 0.5, 0.9), None])
     def test_special_cells_match_per_cell_format(self, levels):
@@ -665,6 +746,20 @@ class TestCrossValCsvWriter:
     def test_any_float_matches_per_cell_format(self, cells):
         cv = report_of_cells(cells, DEFAULT_LEVELS)
         assert cv.to_csv().splitlines() == reference_cv_lines(cv)
+
+    @settings(max_examples=60)
+    @given(cv_reports())
+    def test_text_stream_and_path_match_per_row_reference(self, cv):
+        want = "\n".join(reference_cv_lines(cv)) + "\n"
+        assert cv.to_csv() == want
+        buffer = io.StringIO()
+        assert cv.to_csv(buffer) is None
+        assert buffer.getvalue() == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cv.csv")
+            assert cv.to_csv(path) is None
+            with open(path, encoding="utf-8", newline="") as fp:
+                assert fp.read() == want
 
 
 def validated_fold_rows(forecaster, panel, key, cutoff, h, levels):
