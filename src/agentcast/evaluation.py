@@ -24,7 +24,7 @@ import numpy as np
 
 from .adapters import EnsembleForecaster, resolve_models
 from .errors import _FORECAST_FAILURES, ConfigError, SeriesTooShortError
-from .models.base import _finite_rows
+from .models.base import _finite_rows, _length_blocks
 from .panel import (
     DEFAULT_LEVELS,
     Series,
@@ -239,9 +239,12 @@ def cross_validate(
     A forecasting failure of one (model, series, fold) is recorded as a
     failed fold and never aborts the run; a programming error propagates.
     Each model other than an ensemble, unlisted members included, is fitted
-    once per fold by one panel step over its training prefixes (a block per
-    prefix length for an array model); an ensemble fold is the median of its
-    members' folds, one block per fold.  Only folds of a ``waits_on_network``
+    once per fold by one panel step over its training prefixes.  An array
+    model's prefixes of one length are a view of that length's block, and
+    each block's results land in the report with one index-array write; a
+    training-prefix ``Series`` is built only for a row that takes the
+    per-series step.  An ensemble fold is the median of its members' folds,
+    one block per fold.  Only folds of a ``waits_on_network``
     forecaster run on a pool of ``n_jobs`` threads, which bounds the remote
     requests in flight.  The report is the same at any ``n_jobs``.
     """
@@ -271,25 +274,29 @@ def cross_validate(
             members[mi] = [index[type(m), m.name] for m in f.members]
 
     keys = tuple(panel.keys())
-    plans = []
-    for key in keys:
+    series = [panel[key] for key in keys]
+    # Series of one length share their folds: per length, the rows, their
+    # values and the cutoffs.  The first block whose length fails holds the
+    # first such series in panel order.
+    blocks = []
+    for rows, Y in _length_blocks([s.values for s in series]):
         try:
-            plans.append(rolling_cutoffs(len(panel[key]), h, n_windows, step))
+            plan = rolling_cutoffs(Y.shape[1], h, n_windows, step)
         except SeriesTooShortError as exc:
-            raise SeriesTooShortError(f"series {key!r}: {exc}") from None
-    h, n_windows, step = plans[0].h, plans[0].n_windows, plans[0].step
+            raise SeriesTooShortError(f"series {keys[rows[0]]!r}: {exc}") from None
+        blocks.append((rows, Y, np.array(plan.cutoffs)))
+    h, n_windows, step = plan.h, plan.n_windows, plan.step
 
     shape = (len(forecasters), len(keys), n_windows)
-    cutoffs = np.array([plan.cutoffs for plan in plans], dtype=int)
-    y = np.array([
-        [panel[key].values[c : c + h] for c in plan.cutoffs]
-        for key, plan in zip(keys, plans)
-    ])
+    cutoffs = np.empty(shape[1:], dtype=int)
+    y = np.empty(shape[1:] + (h,))
+    for rows, Y, folds in blocks:
+        cutoffs[rows] = folds
+        y[rows] = Y[:, folds[:, None] + np.arange(h)]
     yhat = np.full(shape + (h,), np.nan)
     failed = np.zeros(shape, dtype=bool)
     quantiles = [None] * len(forecasters)  # allocated at a model's first quantile block
 
-    series = [panel[key] for key in keys]
     fitted = [mi for mi in range(len(forecasters)) if mi not in members]
     local = [mi for mi in fitted if not forecasters[mi].waits_on_network]
     remote = [(mi, si, fi) for mi in fitted if mi not in local
@@ -310,13 +317,12 @@ def cross_validate(
         # too: the series has days min(A, month length), A its largest day;
         # if the prefix's largest day D < A, every prefix day is already its
         # month's end, so min(D, month length) reproduces each of them.
-        s, cutoff = series[si], plans[si].cutoffs[fi]
+        s, cutoff = series[si], cutoffs[si, fi]
         return Series(s.timestamps[:cutoff], s.values[:cutoff])
 
     def fit(fold):
         mi, si, fi = fold
-        step = forecasters[mi]._forecast_panel([keys[si]], [train(si, fi)], panel.freq, h, levels)
-        return next(step)
+        return forecasters[mi]._series_result(keys[si], train(si, fi), panel.freq, h, levels)
 
     def combine(mi, fi):
         """An ensemble's folds from its members' stored folds, in one block;
@@ -335,15 +341,18 @@ def cross_validate(
             record(mi, rows[ok], fi, (mean[ok], None if q is None else q[ok]))
 
     # Remote folds wait on the pool while each local model runs one panel
-    # step per fold on this thread; ensembles combine after every member fold.
+    # step per fold on this thread, writing each block of rows at once;
+    # ensembles combine after every member fold.
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         replies = pool.map(fit, remote)
-        for fi in range(n_windows):  # one fold's prefixes alive at a time
-            trains = [train(si, fi) for si in range(len(keys))]
+        for fi in range(n_windows):
+            prefixes = [(rows, Y[:, : folds[fi]]) for rows, Y, folds in blocks]
             for mi in local:
-                steps = forecasters[mi]._forecast_panel(keys, trains, panel.freq, h, levels)
-                for si, result in enumerate(steps):
-                    record(mi, si, fi, result)
+                steps = forecasters[mi]._forecast_panel(
+                    keys, prefixes, lambda si: train(si, fi), panel.freq, h, levels
+                )
+                for rows, result in steps:
+                    record(mi, rows, fi, result)
         for fold, result in zip(remote, replies):
             record(*fold, result)
     for mi, fi in product(members, range(n_windows)):

@@ -9,9 +9,12 @@ models' naive fallback; adapter and ensemble forecasters override only
 the step.  Array models implement ``_forecast_block`` instead: (S, n)
 equal-length series in, (S, h) means and (S, h, L) quantiles out, its one
 row being ``_forecast_series``.  The panel step, ``_forecast_panel``, that
-``forecast`` and CV folds run, takes a block per length and reruns each
-failed or non-finite row per series; ``forecast`` raises the first failure
-in panel order.  Its frame has no levels when a step returned no quantiles.
+``forecast`` and CV folds run, yields results as (rows, result) pairs: an
+array model gives one pair per length block, its rows an index array over
+the rows that came out finite, then reruns each row whose block raised or
+came out non-finite per series; any other model gives one row at a time,
+lazily, in panel order.  ``forecast`` raises the first failure in panel
+order.  Its frame has no levels when a step returned no quantiles.
 
 The Gaussian z-scores come from ``_ndtri``, a port of Cephes ``ndtri``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
@@ -113,9 +116,12 @@ def _z_scores(levels: tuple[float, ...]) -> np.ndarray:
 def gaussian_quantiles(
     mean: np.ndarray, sigma: np.ndarray, levels: Sequence[float]
 ) -> np.ndarray:
-    """h x L (S x h x L for S x h means) Gaussian quantiles around the means."""
+    """h x L (S x h x L for S x h means) Gaussian quantiles around the means:
+    ``z * sigma`` with the means added in place (IEEE addition commutes)."""
     z = _z_scores(tuple(map(float, levels)))
-    return mean[..., None] + z * np.asarray(sigma, dtype=float)[..., None]
+    quantiles = z * np.asarray(sigma, dtype=float)[..., None]
+    quantiles += mean[..., None]
+    return quantiles
 
 
 SIGMA2_FLOOR = 1e-10
@@ -171,29 +177,49 @@ class Forecaster:
         _check_finite(mean, quantiles, f"{self.name} naive fallback", key)
         return mean, quantiles, True
 
-    def _forecast_panel(self, keys, series, freq, h, levels):
-        """Yield per series, in order, its (mean, quantiles, fallback) or the
-        forecasting failure it raised.  An array model runs a block per
-        series length; any other row, or one whose block raised or came out
-        non-finite, runs the per-series step lazily, when it is reached."""
-        done, groups = {}, {}
-        for i, s in enumerate(series if self._forecast_block is not None else ()):
-            groups.setdefault(len(s), []).append(i)
-        for rows in groups.values():
+    def _series_result(self, key, series, freq, h, levels):
+        """The per-series step's (mean, quantiles, fallback), or the
+        forecasting failure it raised."""
+        try:
+            return self._forecast_values(key, series, freq, h, levels)
+        except _FORECAST_FAILURES as exc:
+            return exc
+
+    def _forecast_panel(self, keys, blocks, series, freq, h, levels):
+        """Yield (rows, result) pairs that cover each row of ``keys`` once.
+
+        ``blocks`` holds (rows, Y) pairs, an index array and the (S, n)
+        block of those rows' values, one per length; only an array model
+        reads it.  ``series(i)`` builds row i's ``Series`` and is called
+        only for a row that takes the per-series step.  An array model
+        yields, per block, its finite rows with (S, h) means, (S, h, L)
+        quantiles or None, and False; then each row whose block raised or
+        came out non-finite, in panel order, as one per-series result.  Any
+        other model yields every row's per-series result lazily, in panel
+        order.  A per-series result is (mean, quantiles, fallback) or the
+        forecasting failure it raised, and its rows is the row's int index.
+        """
+        if self._forecast_block is None:
+            for i, key in enumerate(keys):
+                yield i, self._series_result(key, series(i), freq, h, levels)
+            return
+        rerun = []
+        for rows, Y in blocks:
             try:
                 with np.errstate(**_CHECKED):
-                    mean, quantiles = self._forecast_block(
-                        np.array([series[i].values for i in rows]), freq.season_length, h, levels
-                    )
+                    mean, quantiles = self._forecast_block(Y, freq.season_length, h, levels)
             except _FORECAST_FAILURES:
+                rerun.extend(rows.tolist())
                 continue
-            for r in np.flatnonzero(_finite_rows(mean, quantiles)):
-                done[rows[r]] = (*_row(mean, quantiles, r), False)
-        for i, (key, s) in enumerate(zip(keys, series)):
-            try:
-                yield done[i] if i in done else self._forecast_values(key, s, freq, h, levels)
-            except _FORECAST_FAILURES as exc:
-                yield exc
+            ok = _finite_rows(mean, quantiles)
+            if not ok.all():
+                rerun.extend(rows[~ok].tolist())
+                rows, mean = rows[ok], mean[ok]
+                quantiles = None if quantiles is None else quantiles[ok]
+            if len(rows):
+                yield rows, (mean, quantiles, False)
+        for i in sorted(rerun):
+            yield i, self._series_result(keys[i], series(i), freq, h, levels)
 
     def forecast(
         self,
@@ -206,11 +232,22 @@ class Forecaster:
         if levels is not None:
             levels = validate_levels(levels)
         keys = panel.keys()
-        results = self._forecast_panel(keys, [panel[key] for key in keys], panel.freq, h, levels)
-        entries = {}
-        for key, result in zip(keys, results):
+        steps = self._forecast_panel(
+            keys, _length_blocks([panel[key].values for key in keys]),
+            lambda i: panel[keys[i]], panel.freq, h, levels,
+        )
+        results = [None] * len(keys)
+        for rows, result in steps:
             if isinstance(result, Exception):
                 raise result
+            if isinstance(rows, int):
+                results[rows] = result
+                continue
+            mean, quantiles, fallback = result
+            for r, i in enumerate(rows.tolist()):
+                results[i] = (*_row(mean, quantiles, r), fallback)
+        entries = {}
+        for key, result in zip(keys, results):
             timestamps = tuple(future_grid(panel[key].timestamps[-1], panel.freq, h))
             entries[key] = ForecastEntry(timestamps, *result)
         if any(entry.quantiles is None for entry in entries.values()):
@@ -226,6 +263,16 @@ def _naive_block(Y, h, levels):
     sigma_1 = np.diff(Y, axis=1).std(axis=1) if Y.shape[1] >= 2 else np.zeros(len(Y))
     sigma = sigma_1[:, None] * np.sqrt(np.arange(1, h + 1))
     return mean, gaussian_quantiles(mean, sigma, levels)
+
+
+def _length_blocks(arrays):
+    """Yield (rows, block) per array length, in first-seen order: the index
+    array of the arrays of that length, and those arrays stacked."""
+    groups = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(len(a), []).append(i)
+    for rows in groups.values():
+        yield np.array(rows), np.array([arrays[i] for i in rows])
 
 
 def _finite_rows(mean, quantiles) -> np.ndarray:

@@ -3,10 +3,11 @@ models, equal byte for byte to the per-series step it replaced."""
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentcast.adapters import EnsembleForecaster, resolve_model
@@ -14,6 +15,9 @@ from agentcast.datasets import load_air_passengers
 from agentcast.errors import _FORECAST_FAILURES, NonFiniteForecastError
 from agentcast.evaluation import aggregate_leaderboard, cross_validate
 from agentcast.models import Naive, arima, available_models, get_model
+from agentcast.models.base import Forecaster, _finite_rows, _length_blocks
+from agentcast.models.croston import SES_STATES
+from agentcast.models.ets import _smooth
 from agentcast.panel import DEFAULT_LEVELS, Series, SeriesPanel, frames_to_csv
 
 from conftest import make_panel
@@ -111,23 +115,52 @@ class TestPanelStepEqualsScalarStep:
         keys = panel.keys()
         series = [panel[key] for key in keys]
         want = [scalar_step(model, k, s, panel.freq, h, levels) for k, s in zip(keys, series)]
-        got = list(model._forecast_panel(keys, series, panel.freq, h, levels))
-        for g, w in zip(got, want, strict=True):
-            assert_same_result(g, w)
-        # The block itself, not its per-row rerun, gives every row whose
-        # per-series step succeeds.
+        # Which rows the blocks leave to the per-series step: every row of a
+        # block that raised, and each row that came out non-finite.
+        expected_reruns = set()
         for n in {len(s) for s in series}:
             rows = [i for i, s in enumerate(series) if len(s) == n]
             try:
-                mean, q = model._forecast_block(
-                    np.array([series[i].values for i in rows]), panel.freq.season_length, h, levels
-                )
+                with np.errstate(all="ignore"):
+                    mean, q = model._forecast_block(
+                        np.array([series[i].values for i in rows]), panel.freq.season_length, h, levels
+                    )
             except _FORECAST_FAILURES:
                 assert all(isinstance(want[i], Exception) for i in rows)
+                expected_reruns.update(rows)
                 continue
+            finite = _finite_rows(mean, q)
+            expected_reruns.update(i for r, i in enumerate(rows) if not finite[r])
+            # The block itself, not its per-row rerun, gives every row whose
+            # per-series step succeeds.
             for r, i in enumerate(rows):
                 if not isinstance(want[i], Exception):
+                    assert finite[r]
                     assert_same_result((mean[r], None if q is None else q[r], False), want[i])
+        # The panel step: blocks of finite rows first, then the reruns in
+        # panel order, one result per row in all.
+        got, reruns = {}, []
+        steps = model._forecast_panel(
+            keys, _length_blocks([s.values for s in series]), series.__getitem__,
+            panel.freq, h, levels,
+        )
+        for rows, result in steps:
+            if isinstance(rows, int):
+                reruns.append(rows)
+                assert rows not in got
+                got[rows] = result
+                continue
+            assert not reruns and rows.dtype.kind == "i" and len(rows) > 0
+            mean, q, fallback = result
+            assert fallback is False and mean.shape == (len(rows), h)
+            assert q is None or q.shape == (len(rows), h, len(levels))
+            for r, i in enumerate(rows.tolist()):
+                assert i not in got
+                got[i] = (mean[r], None if q is None else q[r], fallback)
+        assert reruns == sorted(reruns) and set(reruns) == expected_reruns
+        assert sorted(got) == list(range(len(keys)))
+        for i, w in enumerate(want):
+            assert_same_result(got[i], w)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("levels", [DEFAULT_LEVELS, None])
@@ -154,6 +187,93 @@ class TestPanelStepEqualsScalarStep:
                 assert_same_result(
                     (cv.yhat[0, si, fi], None if q is None else q[si, fi], want[2]), want
                 )
+
+
+def reference_sequences(y, variant):
+    """The sequences one row smooths, none without demand: demand sizes and
+    the intervals before them (the first from the start, 1-based), or
+    ADIDA's end-aligned bucket sums and their width w; one series at a time."""
+    positions = np.flatnonzero(y != 0)
+    if positions.size == 0:
+        return [], 1
+    intervals = np.diff(np.concatenate(([-1], positions))).astype(float)
+    if variant == "classic":
+        return [y[positions], intervals], 1
+    w = max(1, int(math.floor(intervals.mean() + 0.5)))
+    usable = (len(y) // w) * w
+    return [y[len(y) - usable :].reshape(-1, w).sum(axis=1)], w
+
+
+def reference_levels(sequences):
+    """The SES level of each sequence: one or two on the float path, three or
+    more in one run, each left-padded with its first value."""
+    if len(sequences) <= 2:
+        return [_smooth(seq[1:], float(seq[0]), *SES_STATES)[1] for seq in sequences]
+    width = max(map(len, sequences))
+    padded = np.array([np.concatenate((np.full(width - len(q), q[0]), q)) for q in sequences])
+    return _smooth(padded[:, 1:].T, padded[:, 0], *SES_STATES)[1].tolist()
+
+
+def reference_block(Y, variant, h):
+    inputs = [reference_sequences(y, variant) for y in Y]
+    ends = iter(reference_levels([seq for seqs, _ in inputs for seq in seqs]))
+    rates = [next(ends) / (next(ends) if len(seqs) == 2 else w) if seqs else 0.0
+             for seqs, w in inputs]
+    return np.repeat(np.array(rates)[:, None], h, axis=1)
+
+
+DEMAND_KINDS = ("all_zero", "first", "last", "single", "sparse_huge", "zero_heavy", "signed", "dense")
+
+
+def demand_row(kind, n, rng):
+    y = np.zeros(n)
+    if kind in ("first", "last", "single"):
+        y[{"first": 0, "last": n - 1, "single": rng.integers(n)}[kind]] = rng.uniform(0.5, 9.0)
+    elif kind == "sparse_huge":  # ADIDA's bucket sums overflow
+        y = np.where(rng.random(n) < 0.5, 0.0, 1.5e308)
+    elif kind == "zero_heavy":
+        y = np.where(rng.random(n) < 0.8, 0.0, rng.poisson(3.0, n) + 1.0)
+    elif kind == "signed":  # bucket sums of 0.0 and -0.0
+        y = np.where(rng.random(n) < 0.6, 0.0, rng.choice([-2.0, -1.0, -0.0, 1.0, 2.0], n))
+    elif kind == "dense":
+        y = rng.normal(100.0, 10.0, n)
+    return y
+
+
+@st.composite
+def demand_blocks(draw):
+    """Blocks of 1, 2 or 3+ equal-length rows, lengths 1-150."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 150)))
+    kinds = draw(st.lists(st.sampled_from(DEMAND_KINDS), min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([demand_row(kind, n, rng) for kind in kinds])
+
+
+class TestIntermittentBlockOracle:
+    """Croston's and ADIDA's block step against the per-series sequences
+    smoothed through one shared run, byte for byte, non-finite rows too."""
+
+    @pytest.mark.parametrize("alias", ["croston", "adida"])
+    @settings(max_examples=300)
+    @given(Y=demand_blocks(), h=st.sampled_from([1, 5]))
+    # ADIDA's one bucket of [0, 1.5e308, 1.5e308] overflows: alone, or with
+    # one other row, the float path keeps inf; a padded step would give NaN.
+    @example(Y=np.array([[0.0, 1.5e308, 1.5e308], [1.0, 1.0, 1.0]]), h=1)
+    def test_block_equals_the_per_row_reference(self, alias, Y, h):
+        model = get_model(alias)
+        with np.errstate(all="ignore"):
+            mean, q = model._forecast_block(Y, 12, h, None)
+            want = reference_block(Y, model.variant, h)
+            alone = [reference_block(y[None, :], model.variant, h)[0] for y in Y]
+        assert q is None and mean.shape == (len(Y), h)
+        assert mean.tobytes() == want.tobytes()
+        # A row alone takes the float path; the shared run keeps its finite
+        # rates' bits, and a non-finite rate stays non-finite.
+        for row, single in zip(mean, alone):
+            if np.isfinite(single).all():
+                assert row.tobytes() == single.tobytes()
+            else:
+                assert not np.isfinite(row).any()
 
 
 LENGTHS = [*range(1, 10), *range(127, 131), *range(255, 259)]
@@ -318,3 +438,24 @@ class TestCallBudget:
         cv = cross_validate(panel, BLOCK_MODELS + [ensemble], 12, n_windows=3)
         assert cv.yhat.shape[:3] == (6, 40, 3)
         assert calls == {**{alias: 3 for alias in BLOCK_MODELS}, resolve_model(ensemble).name: 3}
+
+    def test_per_series_step_runs_only_for_non_finite_rows(self, monkeypatch):
+        calls = []
+        step = Forecaster._forecast_values
+
+        def counted(self, key, *args):
+            calls.append((self.name, key))
+            return step(self, key, *args)
+
+        monkeypatch.setattr(Forecaster, "_forecast_values", counted)
+        rng = np.random.default_rng(9)
+        finite = make_panel({f"s{i}": row_values(KINDS[i % 4], 60, rng) for i in range(40)})
+        cross_validate(finite, BLOCK_MODELS, 12, n_windows=3)
+        assert calls == []
+        # "huge" overflows the spreads of the three quantile models, except
+        # seasonalnaive's on a 12-point prefix (no lag-12 difference); its
+        # rerun fails, so each failed fold is one per-series step.
+        cv = cross_validate(huge_panel(), BLOCK_MODELS, 12, n_windows=3)
+        assert cv.failed[:, cv.series.index("huge")].sum(axis=1).tolist() == [3, 2, 3, 0, 0]
+        failed = [(cv.model_names[mi], cv.series[si]) for mi, si, _ in np.argwhere(cv.failed)]
+        assert sorted(calls) == sorted(failed)
