@@ -9,12 +9,19 @@ A model is requested by a spec string: a bare registry alias, an
 A CV fold of a remote model is one step; an ensemble combines its
 members' folds, one block per fold (``_combine``).  The remote step is
 one JSON request (POST {base}/forecast) through the retrying client in
-``_http``, whose response must hold ``h`` finite values for the mean and
-for each requested level.  The client keeps HTTP/1.1 connections alive,
-one per request in flight.
+``_http``, whose response must hold ``h`` finite JSON numbers (not
+``"1.5"`` or ``true``) for the mean and for each requested level.  The
+client keeps HTTP/1.1 connections alive, one per request in flight.
 A threaded stub server mirroring any builtin model backs the tests.  It
-speaks HTTP/1.1 with TCP_NODELAY, reads each request body before it
-replies, and ends its kept-alive connections on close().
+checks a request as ``Forecaster.forecast`` checks a one-series panel,
+with ``h`` a JSON integer and ``y`` and ``levels`` lists of JSON numbers
+(else a 400 naming the field), answers through the model's per-series
+step (no forecast timestamps, no frame), and sends each reply, headers
+and body, in one buffered write.  It speaks HTTP/1.1 with TCP_NODELAY,
+reads each request body before it replies, ends a connection quietly
+when a reply cannot be sent, and ends its kept-alive connections on
+close().  The client still encodes each fold's whole prefix, one
+request per (series, fold).
 
 Wire format, request:  {"id", "freq", "ds", "y", "h", "levels"}
            response:   {"model", "mean", "quantiles"?, "elapsed_ms"}
@@ -49,6 +56,7 @@ from .panel import (
     _check_finite,
     format_timestamp,
     parse_timestamp,
+    validate_levels,
 )
 
 DEFAULT_TIMEOUT_S = 30.0
@@ -135,7 +143,7 @@ def _level_key(level: float) -> str:
 
 def _validate_response(data: dict, h: int, levels, key: str):
     """The mean and the h x L quantile matrix of one response.  Each must
-    be a list of ``h`` finite numbers, else a ProtocolError names the
+    be a list of ``h`` finite JSON numbers, else a ProtocolError names the
     series and the field."""
     if not isinstance(data, dict) or "mean" not in data:
         raise ProtocolError(f"adapter response for {key!r} lacks a 'mean' field")
@@ -155,12 +163,13 @@ def _validate_response(data: dict, h: int, levels, key: str):
         got = len(column) if isinstance(column, list) else type(column).__name__
         if got != h:
             raise ProtocolError(f"expected {h} {field(i)} for {key!r}, got {got}")
+        # JSON numbers decode to int or float; true and "1.5" are not numbers.
+        if not set(map(type, column)) <= {int, float}:
+            raise ProtocolError(f"the {field(i)} for {key!r} hold a value that is not a number")
     try:
         values = np.array(columns, dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.ndim != 2:
-        raise ProtocolError(f"adapter response for {key!r} holds a value that is not a number")
+    except OverflowError:  # an integer past float range
+        raise ProtocolError(f"the values for {key!r} hold a number too large") from None
     if not np.isfinite(values).all():
         bad = int(np.argmin(np.isfinite(values).all(axis=1)))
         raise ProtocolError(f"the {field(bad)} for {key!r} are not all finite")
@@ -241,25 +250,31 @@ class EnsembleForecaster(Forecaster):
 class _StubHandler(BaseHTTPRequestHandler):
     stub: "StubServer"  # bound by StubServer
 
-    # Keep-alive: without TCP_NODELAY, Nagle's algorithm holds back the
-    # body (a second write after the headers) until the client's delayed
-    # ACK, about 40 ms on every kept-alive reply.
+    # Keep-alive.  A reply is buffered whole and leaves in one write when
+    # handle_one_request flushes it; a client that has gone makes that
+    # flush raise, and the server's quiet handle_error ends the
+    # connection.  TCP_NODELAY still keeps Nagle's algorithm from holding
+    # back the tail of a reply too large for the buffer until the
+    # client's delayed ACK, about 40 ms.
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    wbufsize = 1 << 16
 
     def log_message(self, *args):
         pass
 
+    def handle_expect_100(self):
+        answered = super().handle_expect_100()
+        self.wfile.flush()  # the client waits for this line before its body
+        return answered
+
     def _send(self, code: int, payload: dict):
         body = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            self.close_connection = True  # client gave up (e.g. timed out)
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def do_GET(self):
         stub = self.stub
@@ -303,29 +318,49 @@ class _StubHandler(BaseHTTPRequestHandler):
         self._send(200, response)
 
 
+def _numbers(values, field_name: str) -> list:
+    """``values`` if it is a list of JSON numbers, else a ValueError naming
+    the field: ``true`` and ``"1.5"`` are not numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"field {field_name!r} must be a list of numbers")
+    if not set(map(type, values)) <= {int, float}:
+        i = next(i for i, v in enumerate(values) if type(v) not in (int, float))
+        raise ValueError(f"field {field_name!r} holds {values[i]!r} at position {i}, not a number")
+    return values
+
+
 def _stub_forecast(alias: str, data: dict) -> dict:
+    """The reply to one request, checked as ``Forecaster.forecast`` checks
+    a one-series panel and answered through the model's per-series step,
+    its (1 + L) * h cells rounded in one pass and sliced per field."""
     started = time.monotonic()
     for field_name in ("id", "freq", "ds", "y", "h"):
         if field_name not in data:
             raise ValueError(f"request lacks required field {field_name!r}")
-    timestamps = tuple(parse_timestamp(ts) for ts in data["ds"])
-    values = np.asarray(data["y"], dtype=float)
+    timestamps = tuple(map(parse_timestamp, data["ds"]))
+    values = np.asarray(_numbers(data["y"], "y"), dtype=float)
     if len(timestamps) != len(values):
         raise ValueError("ds and y lengths differ")
-    freq = Frequency(data["freq"])
-    panel = SeriesPanel({data["id"]: Series(timestamps, values)}, freq)
-    levels = tuple(float(lv) for lv in data.get("levels") or ()) or None
-    frame = get_model(alias).forecast(panel, int(data["h"]), levels)
-    entry = frame[data["id"]]
+    key, freq = data["id"], Frequency(data["freq"])
+    series = SeriesPanel({key: Series(timestamps, values)}, freq)[key]
+    levels = tuple(_numbers(data.get("levels") or [], "levels")) or None
+    h = data["h"]
+    if type(h) is not int:
+        raise ValueError(f"field 'h' must be an integer, got {h!r}")
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
+    if levels is not None:
+        levels = validate_levels(levels)
+    mean, quantiles, _ = get_model(alias)._forecast_values(key, series, freq, h, levels)
+    cells = _round12(mean if quantiles is None else np.concatenate((mean, quantiles.T.ravel())))
     response = {
         "model": alias,
-        "mean": _round12(entry.mean),
+        "mean": cells[:h],
         "elapsed_ms": int((time.monotonic() - started) * 1000.0),
     }
-    if frame.levels is not None:
+    if quantiles is not None:
         response["quantiles"] = {
-            _level_key(level): _round12(entry.quantiles[:, j])
-            for j, level in enumerate(frame.levels)
+            _level_key(level): cells[h * (j + 1) : h * (j + 2)] for j, level in enumerate(levels)
         }
     return response
 
@@ -361,7 +396,7 @@ class _QuietServer(ThreadingHTTPServer):
                 pass
 
     def handle_error(self, request, client_address):
-        pass  # dropped connections are expected in the timeout tests
+        pass  # a client that dropped its connection (e.g. timed out) is expected
 
 
 class StubServer:

@@ -77,13 +77,37 @@ def _check_aligned(frames: Sequence[ForecastFrame]) -> None:
             )
 
 
+def _median(arrays) -> np.ndarray:
+    """``np.median(np.stack(arrays), axis=0)``, bit for bit, without its
+    partition along the member axis.
+
+    An odd-even transposition sort of the members, one ``np.minimum`` and
+    one ``np.maximum`` per compare-exchange, puts the middle member, or
+    the central pair whose midpoint is taken, in place.  The median's
+    value is unique, so only a zero (whose sign depends on which member
+    the partition picks) or a NaN can differ in its bits; those cells are
+    recomputed with ``np.median``.
+    """
+    members = [np.asarray(a, dtype=float) for a in arrays]
+    rows, n = list(members), len(members)
+    for sweep in range(n):
+        for i in range(sweep % 2, n - 1, 2):
+            low, high = rows[i], rows[i + 1]
+            rows[i], rows[i + 1] = np.minimum(low, high), np.maximum(low, high)
+    mid = n // 2
+    out = rows[mid].copy() if n % 2 else (rows[mid - 1] + rows[mid]) / 2
+    redo = (out == 0) | np.isnan(out)
+    if redo.any():
+        out[redo] = np.median(np.stack([m[redo] for m in members]), axis=0)
+    return out
+
+
 def _median_values(members):
     """Elementwise median of (mean, quantiles, fallback) triples: the means
     of every member, the quantile cells of the members that have them."""
     means, quantiles, fallbacks = zip(*members)
     with_q = [q for q in quantiles if q is not None]
-    combined = np.median(np.stack(with_q), axis=0) if with_q else None
-    return np.median(np.stack(means), axis=0), combined, any(fallbacks)
+    return _median(means), _median(with_q) if with_q else None, any(fallbacks)
 
 
 def _monotone_rows(quantiles: np.ndarray) -> np.ndarray:

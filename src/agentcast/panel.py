@@ -107,6 +107,27 @@ def _add_months(anchor: datetime, months: int, day: int) -> datetime:
     return anchor.replace(year=year, month=month, day=min(day, month_days))
 
 
+def _month_grid(anchor: datetime, step: int, day: int, n: int) -> tuple[datetime, ...]:
+    """``n`` instants ``step`` months apart from ``anchor``'s month, each on
+    ``day`` clamped to its month's end, with the anchor's time of day,
+    ``tzinfo`` and ``fold``: ``_add_months(anchor, step * i, day)`` for
+    each i, stepping the year and month as integers.  ``fold`` is set
+    afterwards, only when it is 1: the keyword makes each ``datetime``
+    call about a third slower."""
+    tail = (anchor.hour, anchor.minute, anchor.second, anchor.microsecond, anchor.tzinfo)
+    mdays, isleap = calendar.mdays, calendar.isleap
+    year, month, grid = anchor.year, anchor.month, []
+    for _ in range(n):
+        last = mdays[month] + (month == 2 and isleap(year))
+        grid.append(datetime(year, month, day if day <= last else last, *tail))
+        month += step
+        if month > 12:
+            year, month = year + (month - 1) // 12, (month - 1) % 12 + 1
+    if anchor.fold:
+        grid = [ts.replace(fold=1) for ts in grid]
+    return tuple(grid)
+
+
 def _grid_point(anchor: datetime, freq: Frequency, steps: int) -> datetime:
     """The grid instant ``steps`` frequency steps after ``anchor``."""
     if freq.unit in _MONTH_STEPS:
@@ -139,7 +160,7 @@ def _matches_grid(timestamps: Sequence[datetime], freq: Frequency, grids=None) -
         return False
     grid = grids.get(key, ())
     if len(grid) < n:
-        grid = grids[key] = tuple(_add_months(anchor, step * i, anchor_day) for i in range(n))
+        grid = grids[key] = _month_grid(anchor, step, anchor_day, n)
     return tuple(timestamps) == grid[:n]
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import socketserver
 import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -156,3 +158,29 @@ class RawReplyServer:
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5.0)
+
+
+@contextmanager
+def canned_server(payload, status=200):
+    """Server that answers every POST with a fixed JSON payload; yields its
+    URL and closes its listening socket on exit."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            body = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()

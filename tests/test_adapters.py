@@ -6,8 +6,6 @@ import sys
 import threading
 import time
 import urllib.request
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -38,6 +36,7 @@ from agentcast.models import Forecaster, available_models, get_model
 from conftest import (
     TRUNCATED_REPLY,
     RawReplyServer,
+    canned_server,
     count_connections,
     json_reply,
     make_panel,
@@ -53,32 +52,6 @@ def stub():
 
 def adapter_spec(url, **overrides):
     return parse_model_alias(f"adapter:{url}", **overrides)
-
-
-@contextmanager
-def canned_server(payload, status=200):
-    """Server that answers every POST with a fixed JSON payload; yields its
-    URL and closes its listening socket on exit."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args):
-            pass
-
-        def do_POST(self):
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 class TestParseModelAlias:

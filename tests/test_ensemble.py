@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcast.ensemble import median_ensemble, monotonize_quantiles, pava_isotonic
+from agentcast.ensemble import _median, median_ensemble, monotonize_quantiles, pava_isotonic
 from agentcast.adapters import EnsembleForecaster, resolve_model
 from agentcast.errors import AlignmentError, ConfigError, NonFiniteForecastError
 from agentcast.evaluation import cross_validate
@@ -171,6 +171,50 @@ class TestMedianEnsemble:
         np.testing.assert_allclose(out["s"].mean, [2.0, 2.0])
         np.testing.assert_allclose(out["s"].quantiles, q["s"])
         assert out.levels == (0.1, 0.9)
+
+
+MEDIAN_CELLS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5, 5e-324, 1.5e308, -1.5e308]
+
+
+@st.composite
+def member_stacks(draw):
+    """1-6 equal-shape members whose cells mix ordinary floats with NaN of
+    either sign, +-inf, +-0, subnormals and values whose midpoint overflows."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(1,), (7,), (2, 3), (2, 3, 4)]))
+    cell = st.sampled_from(MEDIAN_CELLS) | st.floats(-10.0, 10.0, width=16)
+    size = int(np.prod(shape))
+    return [
+        np.array(draw(st.lists(cell, min_size=size, max_size=size)), dtype=float).reshape(shape)
+        for _ in range(n)
+    ]
+
+
+class TestMedianBits:
+    """The compare-exchange median against ``np.median`` over the stacked
+    members, bit for bit, NaN payloads and the signs of zeros included."""
+
+    @given(member_stacks())
+    @settings(max_examples=600)
+    def test_equals_np_median_bit_for_bit(self, members):
+        with np.errstate(all="ignore"):
+            got = _median(members)
+            want = np.median(np.stack(members), axis=0)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_every_three_member_special_case(self):
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0]
+        cases = np.array(list(itertools.product(specials, repeat=3))).T
+        members = [row.copy() for row in cases]
+        with np.errstate(all="ignore"):
+            assert _median(members).tobytes() == np.median(cases, axis=0).tobytes()
+
+    def test_single_member_is_copied(self):
+        member = np.array([0.0, -0.0, 3.0])
+        out = _median([member])
+        out[:] = 9.0
+        assert member.tolist() == [0.0, -0.0, 3.0]
 
 
 class TestMonotonizeQuantiles:

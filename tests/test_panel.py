@@ -1,6 +1,6 @@
 import calendar
 import io
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from agentcast.panel import (
     _add_months,
     _grid_point,
     _matches_grid,
+    _month_grid,
     train_test_split,
 )
 
@@ -130,6 +131,63 @@ class TestMonthArithmetic:
                 assert _matches_grid(want, Frequency(unit))
                 moved = want[:5] + [want[5] - timedelta(days=1)] + want[6:]
                 assert not _matches_grid(moved, Frequency(unit))
+
+
+def replace_add_months(anchor, months, day):
+    """The grid step ``_month_grid`` replaced: ``datetime.replace`` on the
+    anchor, which keeps its time of day, ``tzinfo`` and ``fold``."""
+    month_index = anchor.month - 1 + months
+    year, month = anchor.year + month_index // 12, month_index % 12 + 1
+    month_days = calendar.mdays[month] + (month == 2 and calendar.isleap(year))
+    return anchor.replace(year=year, month=month, day=min(day, month_days))
+
+
+def grid_fields(grid):
+    """Each instant with the fields that ``==`` ignores (fold) or compares
+    by offset only (tzinfo)."""
+    return [(t.isoformat(), t.tzinfo, t.fold, type(t)) for t in grid]
+
+
+TIME_ZONES = [None, timezone.utc, timezone(timedelta(hours=-3, minutes=-30))]
+
+
+class TestMonthGrid:
+    """``_month_grid`` steps the year and month as integers; each instant
+    equals the ``datetime.replace`` step, field for field."""
+
+    @pytest.mark.parametrize("year", [1900, 2000, 2023, 2024])
+    @pytest.mark.parametrize("unit, step", [("M", 1), ("Q", 3), ("Y", 12)])
+    def test_month_end_and_february_anchors(self, year, unit, step):
+        anchors = [ts(year, 1, d) for d in (28, 29, 30, 31)] + [ts(year, 2, 28)]
+        anchors += [ts(year, 2, 29)] if calendar.isleap(year) else []
+        anchors += [ts(year, 1, 31, 6, 30, 15, 250), datetime(year, 3, 31, tzinfo=TIME_ZONES[2])]
+        anchors += [datetime(year, 5, 31, 1, 30, fold=1)]
+        for anchor in anchors:
+            for day in sorted({anchor.day, 28, 29, 30, 31}):
+                n = 12 * 9 // step
+                want = [replace_add_months(anchor, step * i, day) for i in range(n)]
+                assert grid_fields(_month_grid(anchor, step, day, n)) == grid_fields(want)
+
+    @given(
+        year=st.sampled_from([1900, 2000, 2023, 2024]) | st.integers(1, 9900),
+        month=st.integers(1, 12),
+        anchor_day=st.integers(1, 31),
+        day=st.integers(28, 31) | st.none(),
+        step=st.sampled_from([1, 3, 12]),
+        n=st.integers(1, 80),
+        time_of_day=st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 999_999)),
+        tz=st.sampled_from(TIME_ZONES),
+        fold=st.integers(0, 1),
+    )
+    @settings(max_examples=400)
+    def test_matches_the_replace_step(self, year, month, anchor_day, day, step, n, time_of_day, tz, fold):
+        hour, minute, microsecond = time_of_day
+        anchor_day = min(anchor_day, calendar.monthrange(year, month)[1])
+        anchor = datetime(year, month, anchor_day, hour, minute, 0, microsecond, tz, fold=fold)
+        day = anchor_day if day is None else day
+        n = min(n, (9999 - year) * 12 // step)  # no instant past year 9999
+        want = [replace_add_months(anchor, step * i, day) for i in range(n)]
+        assert grid_fields(_month_grid(anchor, step, day, n)) == grid_fields(want)
 
 
 class TestSharedMonthGrids:
