@@ -47,6 +47,7 @@ from ._http import DEFAULT_BACKOFF_MS, DEFAULT_MAX_RETRIES, check_policy, post_j
 from .errors import ConfigError, ProtocolError
 from .ensemble import _median_values, _monotone_rows
 from .models import Forecaster, get_model
+from .models.base import forecast_levels
 from .panel import (
     DEFAULT_LEVELS,
     ForecastFrame,
@@ -56,7 +57,6 @@ from .panel import (
     _check_finite,
     format_timestamp,
     parse_timestamp,
-    validate_levels,
 )
 
 DEFAULT_TIMEOUT_S = 30.0
@@ -141,6 +141,12 @@ def _level_key(level: float) -> str:
     return f"{level:g}"
 
 
+def _all_numbers(values: list) -> bool:
+    """Whether every value decoded from a JSON number: an int or a float,
+    not ``true`` or ``"1.5"``."""
+    return set(map(type, values)) <= {int, float}
+
+
 def _validate_response(data: dict, h: int, levels, key: str):
     """The mean and the h x L quantile matrix of one response.  Each must
     be a list of ``h`` finite JSON numbers, else a ProtocolError names the
@@ -163,8 +169,7 @@ def _validate_response(data: dict, h: int, levels, key: str):
         got = len(column) if isinstance(column, list) else type(column).__name__
         if got != h:
             raise ProtocolError(f"expected {h} {field(i)} for {key!r}, got {got}")
-        # JSON numbers decode to int or float; true and "1.5" are not numbers.
-        if not set(map(type, column)) <= {int, float}:
+        if not _all_numbers(column):
             raise ProtocolError(f"the {field(i)} for {key!r} hold a value that is not a number")
     try:
         values = np.array(columns, dtype=float)
@@ -323,7 +328,7 @@ def _numbers(values, field_name: str) -> list:
     the field: ``true`` and ``"1.5"`` are not numbers."""
     if not isinstance(values, list):
         raise ValueError(f"field {field_name!r} must be a list of numbers")
-    if not set(map(type, values)) <= {int, float}:
+    if not _all_numbers(values):
         i = next(i for i, v in enumerate(values) if type(v) not in (int, float))
         raise ValueError(f"field {field_name!r} holds {values[i]!r} at position {i}, not a number")
     return values
@@ -343,14 +348,12 @@ def _stub_forecast(alias: str, data: dict) -> dict:
         raise ValueError("ds and y lengths differ")
     key, freq = data["id"], Frequency(data["freq"])
     series = SeriesPanel({key: Series(timestamps, values)}, freq)[key]
-    levels = tuple(_numbers(data.get("levels") or [], "levels")) or None
+    levels = data.get("levels")  # absent, null or [] asks for no quantiles
+    levels = None if levels is None else tuple(_numbers(levels, "levels")) or None
     h = data["h"]
     if type(h) is not int:
         raise ValueError(f"field 'h' must be an integer, got {h!r}")
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-    if levels is not None:
-        levels = validate_levels(levels)
+    levels = forecast_levels(h, levels)
     mean, quantiles, _ = get_model(alias)._forecast_values(key, series, freq, h, levels)
     cells = _round12(mean if quantiles is None else np.concatenate((mean, quantiles.T.ravel())))
     response = {

@@ -142,6 +142,14 @@ def _aicc(sse: float, n: int, k: int) -> float:
 _CHECKED = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
+def forecast_levels(h: int, levels: Sequence[float] | None) -> tuple[float, ...] | None:
+    """The checked levels of a forecast of ``h`` steps; a ValueError if
+    ``h`` is below 1 or the levels fail ``validate_levels``."""
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
+    return None if levels is None else validate_levels(levels)
+
+
 class Forecaster:
     """Base class: builtin models set ``name`` and a series or block step."""
 
@@ -227,10 +235,7 @@ class Forecaster:
         h: int,
         levels: Sequence[float] | None = DEFAULT_LEVELS,
     ) -> ForecastFrame:
-        if h < 1:
-            raise ValueError(f"horizon must be >= 1, got {h}")
-        if levels is not None:
-            levels = validate_levels(levels)
+        levels = forecast_levels(h, levels)
         keys = panel.keys()
         steps = self._forecast_panel(
             keys, _length_blocks([panel[key].values for key in keys]),

@@ -98,22 +98,12 @@ def level_column(level: float) -> str:
     return f"q{level * 100:g}"
 
 
-def _add_months(anchor: datetime, months: int, day: int) -> datetime:
-    """Shift by whole months onto ``day``, clamped to the month's end."""
-    month_index = anchor.month - 1 + months
-    year = anchor.year + month_index // 12
-    month = month_index % 12 + 1
-    month_days = calendar.mdays[month] + (month == 2 and calendar.isleap(year))
-    return anchor.replace(year=year, month=month, day=min(day, month_days))
-
-
 def _month_grid(anchor: datetime, step: int, day: int, n: int) -> tuple[datetime, ...]:
     """``n`` instants ``step`` months apart from ``anchor``'s month, each on
     ``day`` clamped to its month's end, with the anchor's time of day,
-    ``tzinfo`` and ``fold``: ``_add_months(anchor, step * i, day)`` for
-    each i, stepping the year and month as integers.  ``fold`` is set
-    afterwards, only when it is 1: the keyword makes each ``datetime``
-    call about a third slower."""
+    ``tzinfo`` and ``fold``.  The year and month step as integers; ``fold``
+    is set afterwards, only when it is 1: the keyword makes each
+    ``datetime`` call about a third slower."""
     tail = (anchor.hour, anchor.minute, anchor.second, anchor.microsecond, anchor.tzinfo)
     mdays, isleap = calendar.mdays, calendar.isleap
     year, month, grid = anchor.year, anchor.month, []
@@ -128,6 +118,12 @@ def _month_grid(anchor: datetime, step: int, day: int, n: int) -> tuple[datetime
     return tuple(grid)
 
 
+def _add_months(anchor: datetime, months: int, day: int) -> datetime:
+    """Shift by ``months >= 0`` whole months onto ``day``, clamped to the
+    month's end."""
+    return _month_grid(anchor, months, day, 2)[1]
+
+
 def _grid_point(anchor: datetime, freq: Frequency, steps: int) -> datetime:
     """The grid instant ``steps`` frequency steps after ``anchor``."""
     if freq.unit in _MONTH_STEPS:
@@ -139,6 +135,9 @@ def future_grid(last_timestamp: datetime, freq: Frequency, h: int) -> list[datet
     """Exactly ``h`` instants continuing the grid right after ``last_timestamp``."""
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
+    if freq.unit in _MONTH_STEPS:
+        step = _MONTH_STEPS[freq.unit]
+        return list(_month_grid(last_timestamp, step, last_timestamp.day, h + 1)[1:])
     return [_grid_point(last_timestamp, freq, k) for k in range(1, h + 1)]
 
 

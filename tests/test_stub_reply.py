@@ -184,8 +184,13 @@ class TestWireNumbers:
             ("y", 3.5, "field 'y' must be a list of numbers"),
             ("levels", ["0.5"], "field 'levels' holds '0.5' at position 0, not a number"),
             ("levels", 0.5, "field 'levels' must be a list of numbers"),
+            ("levels", 0, "field 'levels' must be a list of numbers"),
+            ("levels", False, "field 'levels' must be a list of numbers"),
+            ("levels", "", "field 'levels' must be a list of numbers"),
+            ("levels", {}, "field 'levels' must be a list of numbers"),
         ],
-        ids=["h-float", "h-bool", "h-text", "y-text", "y-bool", "y-scalar", "lv-text", "lv-scalar"],
+        ids=["h-float", "h-bool", "h-text", "y-text", "y-bool", "y-scalar", "lv-text", "lv-scalar",
+             "lv-zero", "lv-false", "lv-empty-text", "lv-empty-object"],
     )
     def test_stub_rejects_with_a_400_naming_the_field(self, stub, field, value, message):
         data = request(ANCHORS["M"], "M", [1.5, 2.5, 3.5], h=3, levels=(0.1, 0.9))
@@ -195,6 +200,12 @@ class TestWireNumbers:
             post_json(f"{stub.url}/forecast", data, parse_model_alias(f"adapter:{stub.url}"))
         assert f'HTTP 400): {json.dumps({"error": message})}' in str(err.value)
         assert stub.request_count - before == 1  # a 400 is not retried
+
+    @pytest.mark.parametrize("levels", [None, []], ids=["null", "empty"])
+    def test_null_or_empty_levels_ask_for_no_quantiles(self, levels):
+        data = {"id": "s", "freq": "M", "ds": ["2020-01-01", "2020-02-01"], "y": [1.0, 2.0],
+                "h": 2, "levels": levels}
+        assert stub_reply("naive", data) == {"model": "naive", "mean": [2.0, 2.0]}
 
     def test_integral_numbers_are_accepted(self):
         data = {"id": "s", "freq": "M", "ds": ["2020-01-01", "2020-02-01"], "y": [1, 2], "h": 2}
