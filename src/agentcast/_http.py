@@ -23,32 +23,31 @@ fails before any status line arrives: the request is then sent once
 more, at once, on a fresh connection, which is not a retry.  A URL that
 an ``*_proxy`` environment variable covers goes through urllib instead;
 the proxy environment is read whenever no kept connection to the host is
-idle, so a connection that is kept stays direct.
+idle, so a connection that is kept stays direct.  ``http.client`` and
+``urllib.request`` load with the first request, not with the package.
 """
 
 from __future__ import annotations
 
 import atexit
-import http.client
 import json
+import sys
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 
 from .errors import ConfigError, ProtocolError, RequestError, TransportError
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF_MS = 250.0
 
-# What the urllib transport sends, so a server sees the same client on
-# either path.
-_USER_AGENT = f"Python-urllib/{urllib.request.__version__}"
+# What the urllib transport sends (urllib.request.__version__ is the
+# Python version), so a server sees the same client on either path.
+_USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
 
 # How a kept connection that the server closed while it sat idle fails
-# (RemoteDisconnected is a ConnectionResetError, named for the reader).
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# (http.client.RemoteDisconnected is a ConnectionResetError).
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 # Idle kept-alive connections by (scheme, host:port).
 _idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
@@ -76,17 +75,19 @@ def check_policy(policy):
         raise ConfigError(f"backoff_ms must be >= 0, got {policy.backoff_ms}")
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args):
-        return None  # urllib then raises the 3xx as an HTTPError
-
-
 def urllib_transport(url, body, headers, timeout):
     """The transport for a URL that an ``*_proxy`` environment variable
     covers, and only for that: urllib handles the proxy and its
     authentication.  The opener is built per call, so the environment at
     the time of the request decides, and a 3xx reply is returned as it
     is, as on the pooled path."""
+    import urllib.error
+    import urllib.request
+
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # urllib then raises the 3xx as an HTTPError
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.build_opener(_NoRedirect).open(request, timeout=timeout) as response:
@@ -99,6 +100,8 @@ def _proxied(scheme: str, netloc: str) -> bool:
     """Whether urllib would send a request to this host through a proxy.
     It scans the whole environment: 0.12 ms with 78 variables, so it is
     not asked again while a kept connection to the host is idle."""
+    import urllib.request
+
     return scheme in urllib.request.getproxies() and not urllib.request.proxy_bypass(netloc)
 
 
@@ -110,6 +113,8 @@ def _exchange(conn, target, body, headers) -> http.client.HTTPResponse:
 def pooled_transport(url, body, headers, timeout):
     """The default transport: a kept-alive connection from the pool, or a
     new one when none is idle."""
+    import http.client
+
     parts = urllib.parse.urlsplit(url)
     key = (parts.scheme, parts.netloc)
     with _idle_lock:
@@ -150,6 +155,8 @@ def post_json(url, payload, policy, headers=None, transport=None):
     ``policy`` carries ``timeout`` (s), ``max_retries`` and ``backoff_ms``:
     an adapter ``ModelSpec`` or an ``LLMConfig``.
     """
+    import http.client
+
     send = transport or pooled_transport
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json", **(headers or {})}

@@ -15,7 +15,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import product
@@ -104,6 +105,28 @@ class CrossValRow:
     failed: bool = False
 
 
+class _CrossValRows(Sequence):
+    """A report's ``CrossValRow``s as a read-only sequence, built when
+    reached: ``len()`` builds none, iteration one fold at a time, and an
+    index or slice (a tuple, as from a tuple) only the folds it names."""
+
+    def __init__(self, cv: "CrossValReport"):
+        self._cv = cv
+
+    def __len__(self) -> int:
+        return self._cv.yhat.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        mi, si, fi, k = np.unravel_index(range(len(self))[i], self._cv.yhat.shape)
+        return self._cv._fold_rows(mi, si, fi)[k]
+
+    def __iter__(self):
+        for mi, si, fi in np.ndindex(self._cv.failed.shape):
+            yield from self._cv._fold_rows(mi, si, fi)
+
+
 @dataclass(frozen=True, eq=False)
 class CrossValReport:
     """Cross-validation results, stored once as arrays.
@@ -114,8 +137,8 @@ class CrossValReport:
     ``quantiles[m]`` is ``[s, f, k, level]``, or None when no levels were
     requested or the model supports no quantiles.  ``failed[m, s, f]``
     marks failed folds, whose forecast cells hold NaN.  ``timestamps[s]``
-    is the panel's own timestamp tuple.  ``rows`` is a derived row-per-step
-    view.
+    is the panel's own timestamp tuple.  ``rows`` is a derived read-only
+    view with one ``CrossValRow`` per step, built only as it is read.
     """
 
     model_names: tuple[str, ...]
@@ -134,40 +157,32 @@ class CrossValReport:
     def __len__(self) -> int:
         return self.yhat.size
 
-    def _folds(self):
-        """Per fold, in row order: model, key, cutoff, the series'
-        timestamps, actuals, forecasts, quantile rows as lists (None for a
-        quantile-free model) and whether the fold failed."""
-        for mi, model in enumerate(self.model_names):
-            q = self.quantiles[mi]
-            for si, key in enumerate(self.series):
-                for fi, cutoff in enumerate(self.cutoffs[si].tolist()):
-                    yield (
-                        model, key, cutoff, self.timestamps[si],
-                        self.y[si, fi].tolist(), self.yhat[mi, si, fi].tolist(),
-                        None if q is None else q[si, fi].tolist(),
-                        bool(self.failed[mi, si, fi]),
-                    )
+    def _fold_rows(self, mi, si, fi) -> list[CrossValRow]:
+        """The h rows of one (model, series, fold); a failed fold's quantiles
+        are NaN at each level (None without levels)."""
+        stamps, cutoff = self.timestamps[si], int(self.cutoffs[si, fi])
+        failed, q = bool(self.failed[mi, si, fi]), self.quantiles[mi]
+        if failed or q is None:
+            nan_q = None if self.levels is None else (float("nan"),) * len(self.levels)
+            q = [nan_q if failed else None] * self.h
+        else:
+            q = list(map(tuple, q[si, fi].tolist()))
+        y, yhat = self.y[si, fi].tolist(), self.yhat[mi, si, fi].tolist()
+        model, key = self.model_names[mi], self.series[si]
+        return [
+            CrossValRow(
+                key, cutoff, stamps[cutoff - 1], model, k + 1, stamps[cutoff + k],
+                y[k], yhat[k], q[k], failed,
+            )
+            for k in range(self.h)
+        ]
 
     @property
-    def rows(self) -> tuple[CrossValRow, ...]:
+    def rows(self) -> Sequence[CrossValRow]:
         """One row per forecast step, ordered by (model, series, cutoff,
-        step); rebuilt from the arrays on every access."""
-        nan_q = None if self.levels is None else (float("nan"),) * len(self.levels)
-        rows = []
-        for model, key, cutoff, stamps, y, yhat, q, failed in self._folds():
-            if failed or q is None:
-                q = [nan_q if failed else None] * self.h
-            else:
-                q = list(map(tuple, q))
-            rows.extend(
-                CrossValRow(
-                    key, cutoff, stamps[cutoff - 1], model, k + 1, stamps[cutoff + k],
-                    y[k], yhat[k], q[k], failed,
-                )
-                for k in range(self.h)
-            )
-        return tuple(rows)
+        step): a sequence view that builds each row from the arrays when
+        it is read, so ``tuple(cv.rows)`` is the materialised rows."""
+        return _CrossValRows(self)
 
     def csv_header(self) -> str:
         cells = ["unique_id", "cutoff", "model", "step", "ds", "y", "yhat"]
@@ -340,11 +355,16 @@ def cross_validate(
         if ok.any():
             record(mi, rows[ok], fi, (mean[ok], None if q is None else q[ok]))
 
-    # Remote folds wait on the pool while each local model runs one panel
-    # step per fold on this thread, writing each block of rows at once;
-    # ensembles combine after every member fold.
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        replies = pool.map(fit, remote)
+    # Remote folds, if any, wait on a pool while each local model runs one
+    # panel step per fold on this thread, writing each block of rows at
+    # once; ensembles combine after every member fold.
+    replies = ()
+    with ExitStack() as stack:
+        if remote:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=n_jobs))
+            replies = pool.map(fit, remote)
         for fi in range(n_windows):
             prefixes = [(rows, Y[:, : folds[fi]]) for rows, Y, folds in blocks]
             for mi in local:

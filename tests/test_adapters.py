@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from agentcast import _http
 from agentcast._http import post_json
 from agentcast.adapters import (
     EnsembleForecaster,
@@ -542,6 +543,11 @@ class TestConnectionPool:
         finally:
             proxy.close()
         assert proxy.request_lines == [f"POST {target}/forecast HTTP/1.1"]
+
+    def test_pool_sends_urllibs_user_agent(self):
+        # The pooled transport names the client as urllib does, without
+        # importing urllib.request to ask it.
+        assert _http._USER_AGENT == "Python-urllib/" + urllib.request.__version__
 
     def test_no_proxy_host_uses_the_pool(self, monkeypatch):
         proxy = RawReplyServer(json_reply({"model": "x", "mean": [1.0, 2.0], "elapsed_ms": 1}))

@@ -280,13 +280,17 @@ class TestMonotonizeMatchesRowwisePava:
         np.testing.assert_array_equal(frame["s"].quantiles, q)  # input untouched
 
 
+# The network stack and the CV thread pool: they load only for adapter:
+# models, LLM mode and the stub server.
+NETWORK_MODULES = ["http", "email", "ssl", "socket", "socketserver", "urllib.request", "concurrent"]
+
 COLD_IMPORTS = {
     # Importing the models package from ensemble.py shifted scipy's import
     # order and made a cold `import agentcast.cli` measurably slower.
     "ensemble": ("agentcast.ensemble", ["agentcast.models"]),
     # scipy is most of a cold import: no module of it loads before the
     # first ARIMA fit, and the Gaussian quantiles use a port of its ndtri.
-    "cli": ("agentcast.cli", ["scipy"]),
+    "cli": ("agentcast.cli", ["scipy", *NETWORK_MODULES]),
 }
 
 
@@ -313,6 +317,47 @@ def test_cold_import_leaves_modules_unloaded(module, unloaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "False (3, 9)"]
+
+
+def test_network_stack_loads_on_first_use():
+    # A local CV and a deterministic agent run load no network module:
+    # scipy.signal, which the agent's first ARIMA fit imports, loads
+    # email, socket and concurrent.futures itself, so the agent run is
+    # checked against what that import alone loaded.  A stub and a
+    # two-thread adapter CV then import the rest on first use, both pool
+    # threads at once, and the process exits with no socket or connection
+    # left unclosed.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from agentcast.agent import run_agent\n"
+        "from agentcast.datasets import load_air_passengers\n"
+        "from agentcast.evaluation import cross_validate\n"
+        "def loaded():\n"
+        f"    return {{m for m in sys.modules for p in {NETWORK_MODULES!r}"
+        " if m == p or m.startswith(p + '.')}\n"
+        "air = load_air_passengers()\n"
+        "cross_validate(air, ['median_ensemble:naive+seasonalnaive'], 12, n_windows=2)\n"
+        "print(sorted(loaded()))\n"
+        "import scipy.signal\n"
+        "by_scipy = loaded()\n"
+        "run_agent(air, h=12)\n"
+        "print(sorted(loaded() - by_scipy))\n"
+        "from agentcast.adapters import serve_stub\n"
+        "stub = serve_stub(alias='naive')\n"
+        "try:\n"
+        "    cv = cross_validate(air, ['adapter:' + stub.url, 'naive'], 12, n_windows=4, n_jobs=2)\n"
+        "finally:\n"
+        "    stub.close()\n"
+        "print(stub.request_count, int(cv.failed.sum()), np.array_equal(cv.yhat[0], cv.yhat[1]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == ["[]", "[]", "4 0 True"]
 
 
 def scipy_imports():

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -433,6 +434,102 @@ class TestCrossValReportArrays:
                                                         quantiles=None, failed=True))
         assert failed != row
         assert dataclasses.replace(failed, yhat=4.0, quantiles=(3.0, 5.0), failed=False) == row
+
+
+def reference_rows(cv):
+    """The rows tuple as the report built it before ``rows`` became a view."""
+    nan_q = None if cv.levels is None else (float("nan"),) * len(cv.levels)
+    rows = []
+    for mi, model in enumerate(cv.model_names):
+        qs = cv.quantiles[mi]
+        for si, key in enumerate(cv.series):
+            stamps = cv.timestamps[si]
+            for fi, cutoff in enumerate(cv.cutoffs[si].tolist()):
+                y, yhat = cv.y[si, fi].tolist(), cv.yhat[mi, si, fi].tolist()
+                q = None if qs is None else qs[si, fi].tolist()
+                failed = bool(cv.failed[mi, si, fi])
+                if failed or q is None:
+                    q = [nan_q if failed else None] * cv.h
+                else:
+                    q = list(map(tuple, q))
+                rows.extend(
+                    CrossValRow(
+                        key, cutoff, stamps[cutoff - 1], model, k + 1, stamps[cutoff + k],
+                        y[k], yhat[k], q[k], failed,
+                    )
+                    for k in range(cv.h)
+                )
+    return tuple(rows)
+
+
+def same_rows(got, want):
+    # repr tells NaN cells apart from nothing else, and Python ints and
+    # floats from numpy scalars.
+    return len(got) == len(want) and all(
+        type(a) is CrossValRow and repr(a) == repr(b) for a, b in zip(got, want)
+    )
+
+
+class TestRowsView:
+    @pytest.fixture(params=[DEFAULT_LEVELS, None], ids=["levels", "no_levels"])
+    def cv(self, request):
+        # seasonalnaive fails three folds; croston forecasts no quantiles
+        return cross_validate(
+            mixed_length_panel(), ["seasonalnaive", "croston"], 12, n_windows=2, step=3,
+            levels=request.param,
+        )
+
+    def test_view_equals_the_reference_rows(self, cv):
+        want = reference_rows(cv)
+        assert cv.failed.sum() == 3 and cv.quantiles[1] is None
+        assert same_rows(list(cv.rows), want)
+        assert same_rows(tuple(cv.rows), want)
+        assert same_rows(cv.rows[5:40:3], want[5:40:3]) and type(cv.rows[:2]) is tuple
+        assert same_rows(cv.rows[::-7], want[::-7])
+        assert same_rows(list(reversed(cv.rows)), want[::-1])
+
+    def test_len_builds_no_row_and_iteration_builds_one_fold(self, cv, monkeypatch):
+        built = []
+
+        def counting(*fields):
+            built.append(fields)
+            return CrossValRow(*fields)
+
+        monkeypatch.setattr("agentcast.evaluation.CrossValRow", counting)
+        rows = cv.rows
+        assert len(rows) == cv.yhat.size == len(reference_rows(cv)) and built == []
+        next(iter(rows))
+        assert len(built) == cv.h
+
+    def test_indexing_works_as_on_a_tuple(self, cv):
+        rows, want = cv.rows, reference_rows(cv)
+        assert same_rows([rows[-1], rows[0], rows[-len(want)]], [want[-1], want[0], want[0]])
+        assert same_rows([rows[i] for i in range(len(want))], want)
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[1.0]
+
+    def test_streaming_peak_is_a_tenth_of_the_tuple(self):
+        rng = np.random.default_rng(3)
+        panel = make_panel({f"s{i}": list(rng.uniform(1.0, 9.0, 60)) for i in range(100)})
+        cv = cross_validate(panel, ["naive", "seasonalnaive"], 6, n_windows=3)
+
+        def peak(read):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = read()
+            return tracemalloc.get_traced_memory()[1] - base, out
+
+        tracemalloc.start()
+        try:
+            streamed, failed = peak(lambda: sum(r.failed for r in cv.rows))
+            built, rows = peak(lambda: tuple(cv.rows))
+        finally:
+            tracemalloc.stop()
+        assert failed == 0 and len(rows) == 3600
+        assert streamed < built / 10
 
 
 def seeded_month_end_panel(seed=2024, n_series=40):
