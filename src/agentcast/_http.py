@@ -14,16 +14,17 @@ the policy values when an adapter spec or an LLM config is built.
 The default transport keeps HTTP/1.1 connections alive.  Idle
 connections wait in a pool keyed by scheme and host:port, so a process
 holds at most one per request in flight to each server, and closes them
-when the interpreter exits.  A connection
-goes back to the pool only once its whole reply has been read and the
-server has not asked to close it; any exception closes it, so a reply
-that arrives after a timeout is never read as the answer to the next
-request.  A reused connection that the server closed while it sat idle
-fails before any status line arrives: the request is then sent once
-more, at once, on a fresh connection, which is not a retry.  A URL that
-an ``*_proxy`` environment variable covers goes through urllib instead;
-the proxy environment is read whenever no kept connection to the host is
-idle, so a connection that is kept stays direct.  ``http.client`` and
+when the interpreter exits.  A connection goes back to the pool only
+once its whole reply has been read and the server has not asked to close
+it; any exception closes it, so a reply that arrives after a timeout is
+never read as the answer to the next request.  A reused connection's
+timeout is reset only when the request's spec sets another one.  A
+reused connection that the server closed while it sat idle fails before
+any status line arrives: the request is then sent once more, at once, on
+a fresh connection, which is not a retry.  A URL that an ``*_proxy``
+environment variable covers goes through urllib instead; the proxy
+environment is read whenever no kept connection to the host is idle, so
+a connection that is kept stays direct.  ``http.client`` and
 ``urllib.request`` load with the first request, not with the package.
 """
 
@@ -125,7 +126,8 @@ def pooled_transport(url, body, headers, timeout):
     headers = {"User-Agent": _USER_AGENT, **headers}
     try:
         if conn is not None:
-            conn.sock.settimeout(timeout)  # specs that share a host can differ
+            if conn.sock.gettimeout() != timeout:  # a settimeout call drops the GIL
+                conn.sock.settimeout(timeout)
             try:
                 response = _exchange(conn, target, body, headers)
             except _STALE:

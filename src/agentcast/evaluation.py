@@ -195,13 +195,16 @@ class CrossValReport:
         """One line per forecast step, in ``rows`` order, written fold by
         fold as it is formatted.  Each (series, fold)'s step, ``ds`` and
         ``y`` cells are formatted once and shared by every model; a fold's
-        lines are then one %-template over its forecasts and quantiles."""
+        lines are then one %-template over its forecasts and quantiles.  A
+        fold whose step rows repeat bit for bit (a flat forecast, h = 1) has
+        its row formatted once; the bytes are the same either way."""
         return _emit_csv(self._csv_chunks(), path_or_buffer)
 
     def _csv_chunks(self):
-        # "%" in a key or model name is escaped before it enters a template,
+        # "%" in a key or model name is escaped as a fold's template is built,
         # and the shared step cells (integers, ISO dates, numbers) hold none;
         # "%.12g" % x is "{:.12g}".format(x) for every float, nan and inf too.
+        # A flat fold's one formatted row is joined as text, not a template.
         yield self.csv_header() + "\n"
         stamp_text = {ts: format_timestamp(ts) for ts in set().union(*self.timestamps)}
         n_levels = 0 if self.levels is None else len(self.levels)
@@ -209,7 +212,6 @@ class CrossValReport:
         for key, stamps, cutoffs, y in zip(
             self.series, self.timestamps, self.cutoffs.tolist(), self.y.tolist()
         ):
-            key = key.replace("%", "%%")
             folds.append([
                 (f"{key},{stamp_text[stamps[cutoff - 1]]},", [
                     "%d,%s,%.12g" % (k + 1, stamp_text[stamps[cutoff + k]], a)
@@ -220,20 +222,35 @@ class CrossValReport:
         for model, yhat, q, failed in zip(
             self.model_names, self.yhat, self.quantiles, self.failed.tolist()
         ):
-            model = model.replace("%", "%%") + ","
+            model += ","
             if q is None:
-                cells, values = ",%.12g" + ",nan" * n_levels, yhat
+                cells, values = ",%.12g" + ",nan" * n_levels, yhat[..., None]
             else:
                 cells = ",%.12g" * (1 + n_levels)
                 values = np.concatenate([yhat[..., None], q], axis=-1)
-            tails = (cells + ",false\n", cells + ",true\n")
+            tails, n_cells = (cells + ",false\n", cells + ",true\n"), values.shape[-1]
+            flat = _flat_folds(values).tolist()
             values = values.reshape(*values.shape[:2], -1)  # [series, fold, step x cell]
-            for series_folds, series_values, series_failed in zip(folds, values, failed):
-                for (prefix, steps), fold_values, fold_failed in zip(
-                    series_folds, series_values.tolist(), series_failed
+            for series_folds, series_values, series_failed, series_flat in zip(
+                folds, values, failed, flat
+            ):
+                for (prefix, steps), fold_values, fold_failed, fold_flat in zip(
+                    series_folds, series_values.tolist(), series_failed, series_flat
                 ):
                     head, tail = prefix + model, tails[fold_failed]
-                    yield (head + (tail + head).join(steps) + tail) % tuple(fold_values)
+                    if fold_flat:
+                        row = tail % tuple(fold_values[:n_cells])
+                        yield head + (row + head).join(steps) + row
+                    else:
+                        head = head.replace("%", "%%")
+                        yield (head + (tail + head).join(steps) + tail) % tuple(fold_values)
+
+
+def _flat_folds(values: np.ndarray) -> np.ndarray:
+    """Per [series, fold]: whether every step row of ``values``, a
+    ``[series, fold, step, cell]`` array, has the first row's bytes."""
+    rows = np.ascontiguousarray(values, dtype=float).view(f"V{8 * values.shape[-1]}")
+    return (rows == rows[:, :, :1]).all(axis=(2, 3))
 
 
 def cross_validate(

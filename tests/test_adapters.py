@@ -530,6 +530,29 @@ class TestConnectionPool:
         finally:
             server.close()
 
+    def test_kept_connection_takes_each_requests_timeout(self):
+        # Specs with a 30 s and a 0.1 s timeout share one host, so a kept
+        # connection goes back and forth between them.
+        server = serve_stub(alias="naive")
+        accepted = count_connections(server.server)
+        slow, fast = (adapter_spec(server.url, timeout=t, max_retries=0) for t in (30.0, 0.1))
+
+        def forecast(spec, last):  # naive forecasts the last value
+            frame = remote_forecast(spec, make_panel({"s": [1.0, last]}), 1, levels=None)
+            return float(frame["s"].mean[0])
+
+        try:
+            assert forecast(slow, 1.0) == 1.0  # leaves a kept connection
+            assert forecast(fast, 2.0) == 2.0
+            server.set_delay(0.3)
+            assert forecast(slow, 3.0) == 3.0  # back to 30 s on the same connection
+            with pytest.raises(TransportError, match="timed out"):
+                forecast(fast, 4.0)
+            assert forecast(slow, 5.0) == 5.0  # its own reply, not the late one
+        finally:
+            server.close()
+        assert len(accepted) == 2  # the timed-out connection was closed
+
     def test_proxied_url_goes_through_urllib(self, monkeypatch):
         proxy = RawReplyServer(json_reply({"model": "x", "mean": [1.0, 2.0], "elapsed_ms": 1}))
         for name in ("HTTP_PROXY", "no_proxy", "NO_PROXY"):

@@ -2,6 +2,7 @@ import calendar
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -20,6 +21,7 @@ from agentcast.errors import ConfigError, SeriesTooShortError
 from agentcast.evaluation import (
     CrossValReport,
     CrossValRow,
+    _flat_folds,
     aggregate_leaderboard,
     coverage,
     crps_approx,
@@ -785,27 +787,53 @@ def report_of_cells(cells, levels):
 
 CSV_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
 CSV_NAMES = st.text("ab%sd1_-", min_size=1, max_size=6)
+# Bit patterns that print alike, or differ only in a zero's sign: 0.0 and
+# -0.0, then NaNs of either sign, with a payload, and a signaling one.
+ZERO_BITS = (0x0000000000000000, 0x8000000000000000)
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000)
+TWIN_BITS = list(itertools.permutations(ZERO_BITS, 2)) + list(itertools.permutations(NAN_BITS, 2))
+
+
+def float_array(draw, *shape):
+    return np.array(draw(st.lists(
+        CSV_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)
+    )), dtype=float).reshape(shape)
+
+
+@st.composite
+def fold_cells(draw, h, width):
+    """One fold's [step, cell] values: drawn cell by cell, flat (one row
+    repeated bit for bit) or near flat (flat but for one later cell whose
+    bits differ from the first row's only in a zero's sign or a NaN's sign
+    or payload, so that the two print alike or as 0 and -0)."""
+    kind = draw(st.sampled_from(["cells", "flat", "near"]))
+    if kind == "cells":
+        return float_array(draw, h, width)
+    cells = np.tile(float_array(draw, 1, width), (h, 1))
+    if kind == "near" and h > 1:
+        first, other = draw(st.sampled_from(TWIN_BITS))
+        k, c = draw(st.integers(1, h - 1)), draw(st.integers(0, width - 1))
+        bits = cells.view(np.uint64)
+        bits[:, c] = first
+        bits[k, c] = other
+    return cells
 
 
 @st.composite
 def cv_reports(draw):
-    """A CrossValReport drawn cell by cell: keys and model names that hold
-    "%", any float (NaN, ±inf and -0.0 too), failed folds, quantile-free
-    models next to models with quantiles, h from 1 and 1 to 3 windows."""
+    """A CrossValReport drawn fold by fold (see ``fold_cells``): keys and
+    model names that hold "%", any float (NaN, ±inf and -0.0 too), failed
+    folds, quantile-free models next to models with quantiles, all or some
+    levels or none, h from 1 (every fold flat) and 1 to 3 windows."""
     h = draw(st.integers(1, 4))
     n_windows = draw(st.integers(1, 3))
     step = draw(st.integers(1, h))
-    levels = draw(st.none() | st.lists(
+    levels = draw(st.none() | st.just(DEFAULT_LEVELS) | st.lists(
         st.sampled_from(DEFAULT_LEVELS), min_size=1, max_size=3, unique=True
     ).map(lambda ls: tuple(sorted(ls))))
     keys = draw(st.lists(CSV_NAMES, min_size=1, max_size=3, unique=True))
     models = draw(st.lists(CSV_NAMES, min_size=1, max_size=3, unique=True))
     S, M, L = len(keys), len(models), len(levels or ())
-
-    def floats(*shape):
-        return np.array(draw(st.lists(
-            CSV_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)
-        )), dtype=float).reshape(shape)
 
     timestamps, cutoffs = [], []
     for si in range(S):
@@ -819,15 +847,70 @@ def cv_reports(draw):
     failed = np.array(draw(st.lists(
         st.booleans(), min_size=M * S * n_windows, max_size=M * S * n_windows
     ))).reshape(M, S, n_windows)
-    yhat = np.where(failed[..., None], np.nan, floats(M, S, n_windows, h))
-    quantiles = tuple(
-        np.where(failed[mi, ..., None, None], np.nan, floats(S, n_windows, h, L))
-        if levels is not None and draw(st.booleans()) else None
-        for mi in range(M)
-    )
+    with_q = [levels is not None and draw(st.booleans()) for _ in range(M)]
+    cells = np.full((M, S, n_windows, h, 1 + L), np.nan)  # [..., yhat and quantiles]
+    for mi, si, fi in np.ndindex(M, S, n_windows):
+        width = 1 + L if with_q[mi] else 1
+        cells[mi, si, fi, :, :width] = draw(fold_cells(h, width))
+    cells[failed] = np.nan
+    quantiles = tuple(cells[mi, ..., 1:].copy() if with_q[mi] else None for mi in range(M))
     return CrossValReport(
         tuple(models), tuple(keys), tuple(timestamps), np.array(cutoffs),
-        floats(S, n_windows, h), yhat, quantiles, failed, levels, h, n_windows, step,
+        float_array(draw, S, n_windows, h), cells[..., 0].copy(), quantiles, failed,
+        levels, h, n_windows, step,
+    )
+
+
+def with_bits(values, k, c, bits):
+    """A copy of ``values`` ([..., step, cell]) whose cell c of step k
+    holds the given bit pattern."""
+    out = values.copy()
+    out.view(np.uint64)[..., k, c] = bits
+    return out
+
+
+class TestFlatFolds:
+    def test_repeated_rows_are_flat(self):
+        values = np.tile([[1.5, -0.0, float("inf")]], (2, 1, 4, 1))  # [series, fold, step, cell]
+        assert _flat_folds(values).tolist() == [[True], [True]]
+        assert _flat_folds(values[:, :, :1]).tolist() == [[True], [True]]  # h = 1
+
+    def test_a_zero_of_the_other_sign_is_not_flat(self):
+        values = np.zeros((1, 2, 3, 2))
+        values[0, 1] = with_bits(values[0, 1], 2, 1, ZERO_BITS[1])
+        assert values[0, 1, 2, 1] == values[0, 1, 0, 1]  # equal as values
+        assert _flat_folds(values).tolist() == [[True, False]]
+
+    @pytest.mark.parametrize("first, other", list(itertools.permutations(NAN_BITS, 2)))
+    def test_nan_matches_only_its_own_bits(self, first, other):
+        values = np.ones((1, 1, 3, 2))
+        values.view(np.uint64)[..., 0] = first
+        assert _flat_folds(values).tolist() == [[True]]
+        assert _flat_folds(with_bits(values, 1, 0, other)).tolist() == [[False]]
+
+
+def flat_report(levels, h=3):
+    """Two models (with and without quantiles), two series (one key and a
+    model name hold "%"), two folds: flat folds, a near-flat fold whose last
+    step holds -0.0 where the first holds 0.0, one whose NaN differs in
+    payload (with two levels or more), a fold whose rows all differ and a
+    failed fold."""
+    L = 0 if levels is None else len(levels)
+    stamps = tuple(datetime(2020 + i // 12, i % 12 + 1, 1) for i in range(10))
+    row = np.array([0.0, 2.5, float("nan"), 1e-310, -7.0, 1e16, 0.1, -0.0, 3.0, 4.0])[: 1 + L]
+    cells = np.tile(row, (2, 2, 2, h, 1))  # [model, series, fold, step, cell]
+    cells[0, 0, 1] = with_bits(cells[0, 0, 1], h - 1, 0, ZERO_BITS[1])
+    if L > 1:
+        cells[0, 1, 1] = with_bits(cells[0, 1, 1], h - 1, 2, NAN_BITS[2])
+    cells[1, 1, 0] = np.arange(h * (1 + L)).reshape(h, 1 + L) / 3.0
+    failed = np.zeros((2, 2, 2), dtype=bool)
+    failed[1, 0, 1] = True
+    cells[failed] = np.nan
+    q = None if levels is None else cells[0, ..., 1:].copy()
+    return CrossValReport(
+        ("with%dq", "no_q%"), ("k%s%%1", "plain"), (stamps, stamps),
+        np.array([[4, 7], [4, 7]]), np.tile([1.0, -0.0, 2.5], (2, 2, 1))[..., :h],
+        cells[..., 0].copy(), (q, None), failed, levels, h, 2, 3,
     )
 
 
@@ -837,6 +920,21 @@ class TestCrossValCsvWriter:
         cv = report_of_cells(SPECIAL_CELLS, levels)
         assert cv.to_csv().splitlines() == reference_cv_lines(cv)
         assert cv.to_csv().count("\nk%s%%1,") == 12  # 2 models x 2 folds x 3 steps
+
+    @pytest.mark.parametrize("levels", [DEFAULT_LEVELS, (0.1, 0.5, 0.9), None])
+    @pytest.mark.parametrize("h", [3, 1])
+    def test_flat_and_near_flat_folds_match_per_cell_format(self, levels, h):
+        cv = flat_report(levels, h)
+        text = cv.to_csv()
+        assert text.splitlines() == reference_cv_lines(cv)
+        assert text.count("\nk%s%%1,") == 4 * h and text.count(",no_q%,") == 4 * h
+        if h == 3:  # the zero's sign shows in the last step's forecast
+            assert ",with%dq,3,2020-10-01,2.5,-0," in text
+
+    def test_float32_forecasts_match_per_cell_format(self):
+        cv = flat_report(None)
+        cv = dataclasses.replace(cv, yhat=cv.yhat.astype(np.float32))
+        assert cv.to_csv().splitlines() == reference_cv_lines(cv)
 
     @given(st.lists(st.floats(), min_size=1, max_size=60))
     @example(SPECIAL_CELLS)
