@@ -21,17 +21,24 @@ never read as the answer to the next request.  A reused connection's
 timeout is reset only when the request's spec sets another one.  A
 reused connection that the server closed while it sat idle fails before
 any status line arrives: the request is then sent once more, at once, on
-a fresh connection, which is not a retry.  A URL that an ``*_proxy``
-environment variable covers goes through urllib instead; the proxy
-environment is read whenever no kept connection to the host is idle, so
-a connection that is kept stays direct.  ``http.client`` and
-``urllib.request`` load with the first request, not with the package.
+a fresh connection, which is not a retry.  Each request leaves in one
+socket write, its header block and body joined, where stock
+``http.client`` makes two: the second write would be a second segment
+for the server to read, and Nagle's algorithm may hold it back until the
+first is ACKed.  The bytes on the wire are stock ``http.client``'s, and
+its header checks still run before anything is sent.  A URL that an
+``*_proxy`` environment variable covers goes through urllib instead (in
+two writes); the proxy environment is read whenever no kept connection
+to the host is idle, so a connection that is kept stays direct.
+``http.client`` and ``urllib.request`` load with the first request, not
+with the package.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
+import math
 import sys
 import threading
 import time
@@ -67,13 +74,35 @@ def _close_idle() -> None:
 
 
 def check_policy(policy):
-    """ConfigError unless timeout > 0, max_retries is an int >= 0 and backoff_ms >= 0."""
-    if not policy.timeout > 0:
-        raise ConfigError(f"timeout must be positive, got {policy.timeout}")
+    """ConfigError unless 0 < timeout <= threading.TIMEOUT_MAX s,
+    max_retries is an int >= 0, backoff_ms is finite and >= 0, and the
+    longest backoff wait is at most threading.TIMEOUT_MAX s: a socket
+    timeout or a sleep beyond that overflows the platform's time_t."""
+    if not 0 < policy.timeout <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"timeout must be positive and at most {threading.TIMEOUT_MAX:g} s, "
+            f"got {policy.timeout}"
+        )
     if not (isinstance(policy.max_retries, int) and policy.max_retries >= 0):
         raise ConfigError(f"max_retries must be an integer >= 0, got {policy.max_retries!r}")
-    if not policy.backoff_ms >= 0:
-        raise ConfigError(f"backoff_ms must be >= 0, got {policy.backoff_ms}")
+    if not 0 <= policy.backoff_ms < math.inf:
+        raise ConfigError(f"backoff_ms must be finite and >= 0, got {policy.backoff_ms}")
+    if policy.max_retries and policy.backoff_ms:
+        try:
+            longest = _backoff_s(policy.backoff_ms, policy.max_retries - 1)
+        except OverflowError:
+            longest = math.inf
+        if longest > threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"backoff_ms {policy.backoff_ms} with max_retries {policy.max_retries} "
+                f"waits {longest:g} s before the last retry, more than "
+                f"{threading.TIMEOUT_MAX:g} s"
+            )
+
+
+def _backoff_s(backoff_ms, attempt):
+    """The wait (s) before retry ``attempt + 1``: backoff_ms * 2**attempt ms."""
+    return math.ldexp(backoff_ms, attempt) / 1000.0
 
 
 def urllib_transport(url, body, headers, timeout):
@@ -106,6 +135,33 @@ def _proxied(scheme: str, netloc: str) -> bool:
     return scheme in urllib.request.getproxies() and not urllib.request.proxy_bypass(netloc)
 
 
+# The connection classes by scheme, built on the first request to each.
+_kinds: dict[str, type] = {}
+
+
+def _connection_kind(scheme: str) -> type:
+    """``http.client``'s connection class for ``scheme``, sending a request
+    whose body is bytes in one write: its ``_send_output`` joins the body
+    to the header block that ``putheader`` has already checked."""
+    kind = _kinds.get(scheme)
+    if kind is None:
+        import http.client
+
+        base = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+
+        class OneWrite(base):
+            def _send_output(self, message_body=None, encode_chunked=False):
+                if not isinstance(message_body, bytes) or encode_chunked:
+                    return super()._send_output(message_body, encode_chunked)
+                self._buffer.extend((b"", message_body))
+                message = b"\r\n".join(self._buffer)
+                del self._buffer[:]
+                self.send(message)
+
+        kind = _kinds.setdefault(scheme, OneWrite)
+    return kind
+
+
 def _exchange(conn, target, body, headers) -> http.client.HTTPResponse:
     conn.request("POST", target, body, headers)
     return conn.getresponse()
@@ -114,8 +170,6 @@ def _exchange(conn, target, body, headers) -> http.client.HTTPResponse:
 def pooled_transport(url, body, headers, timeout):
     """The default transport: a kept-alive connection from the pool, or a
     new one when none is idle."""
-    import http.client
-
     parts = urllib.parse.urlsplit(url)
     key = (parts.scheme, parts.netloc)
     with _idle_lock:
@@ -134,9 +188,7 @@ def pooled_transport(url, body, headers, timeout):
                 conn.close()
                 conn = None
         if conn is None:
-            https = parts.scheme == "https"
-            kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            conn = kind(parts.netloc, timeout=timeout)
+            conn = _connection_kind(parts.scheme)(parts.netloc, timeout=timeout)
             response = _exchange(conn, target, body, headers)
         reply = response.read()
     except BaseException:
@@ -180,5 +232,5 @@ def post_json(url, payload, policy, headers=None, transport=None):
                 raise RequestError(f"{url} rejected the request (HTTP {status}): {detail}")
             last_failure = f"HTTP {status}: {detail}"
         if attempt < max_retries:
-            time.sleep(policy.backoff_ms * (2.0**attempt) / 1000.0)
+            time.sleep(_backoff_s(policy.backoff_ms, attempt))
     raise TransportError(f"{url} failed after {max_retries + 1} attempt(s); last: {last_failure}")

@@ -59,11 +59,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             injected = stub.failures.popleft() if stub.failures else None
             delay = stub.delay_s
         # The body is read before any reply: left unread on a kept-alive
-        # connection, it would be parsed as the next request.
+        # connection, it would be parsed as the next request.  A length is
+        # 1*DIGIT (RFC 9110 8.6); int() would also take "+1", "1_0" or "-0".
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length < 0 or "Transfer-Encoding" in self.headers:
+            length = self.headers.get("Content-Length", "0").strip(" \t")
+            if not (length.isascii() and length.isdigit()) or "Transfer-Encoding" in self.headers:
                 raise ValueError
+            length = int(length)  # a ValueError past 4,300 digits
         except ValueError:
             self.close_connection = True  # where this request ends is unknown
             self._send(400, {"error": "a request body needs a valid Content-Length"})

@@ -156,11 +156,20 @@ def llm_chat(
     The request goes through the adapter's client (``_http.post_json``):
     429, 5xx and transport faults are retried with exponential backoff up
     to ``config.max_retries``; any other non-2xx status is never retried.
+    A credential that is not printable ASCII is a ConfigError naming its
+    variable, raised before any request.
     """
     credential = os.environ.get(config.credential_var, "")
     if not credential:
         raise ConfigError(
             f"credential variable {config.credential_var} is not set in the environment"
+        )
+    # http.client would refuse a line break in the header with the value in
+    # its message; a bearer token is printable ASCII (RFC 6750 b64token).
+    if not (credential.isascii() and credential.isprintable()):
+        raise ConfigError(
+            f"credential variable {config.credential_var} holds a line break or another "
+            "character that is not printable ASCII"
         )
     payload = {
         "model": config.model,

@@ -130,22 +130,27 @@ TRUNCATED_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"mean":
 class RawReplyServer:
     """Reads each HTTP request in full, then writes ``reply`` to the raw
     socket as it is and closes, so a reply can be truncated or malformed.
-    ``request_lines`` holds each request's first line."""
+    ``request_lines`` holds each request's first line, ``request_bytes``
+    each whole request as it arrived."""
 
     def __init__(self, reply: bytes):
         self.requests = 0
         self.request_lines = []
+        self.request_bytes = []
         owner = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                owner.request_lines.append(self.rfile.readline().decode().rstrip("\r\n"))
+                head = [self.rfile.readline()]
+                owner.request_lines.append(head[0].decode().rstrip("\r\n"))
                 length = 0
                 while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    head.append(line)
                     name, _, value = line.partition(b":")
                     if name.strip().lower() == b"content-length":
                         length = int(value)
-                self.rfile.read(length)
+                head.append(line)
+                owner.request_bytes.append(b"".join(head) + self.rfile.read(length))
                 owner.requests += 1
                 self.wfile.write(reply)
 

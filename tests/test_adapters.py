@@ -1,5 +1,6 @@
 import http.client
 import json
+import math
 import socket
 import struct
 import sys
@@ -32,6 +33,7 @@ from agentcast.errors import (
     TransportError,
     UnknownModelError,
 )
+from agentcast.llm import LLMConfig, llm_chat
 from agentcast.models import Forecaster, available_models, get_model
 
 from conftest import (
@@ -106,6 +108,31 @@ class TestParseModelAlias:
         with pytest.raises(ConfigError, match=field):
             parse_model_alias(f"adapter:{stub.url}", **{field: value})
         assert stub.request_count == before
+
+    # A socket timeout or sleep past threading.TIMEOUT_MAX s overflows
+    # time_t at the first request or retry, where it would fail a CV fold.
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            dict(timeout=math.inf), dict(timeout=1e300), dict(timeout=1e10), dict(timeout=math.nan),
+            dict(backoff_ms=math.inf), dict(backoff_ms=math.nan),
+            dict(backoff_ms=1e13, max_retries=1), dict(backoff_ms=1.0, max_retries=2000),
+        ],
+        ids=["timeout-inf", "timeout-1e300", "timeout-1e10", "timeout-nan", "backoff-inf",
+             "backoff-nan", "longest-wait", "longest-wait-overflows"],
+    )
+    def test_policy_past_the_platforms_longest_wait_is_a_config_error(self, policy):
+        field = "timeout" if "timeout" in policy else "backoff_ms"
+        with pytest.raises(ConfigError, match=field):
+            ModelSpec("remote", url="http://127.0.0.1:9", **policy)
+
+    def test_policy_at_the_platforms_longest_wait_is_accepted(self, stub):
+        spec = adapter_spec(stub.url, timeout=threading.TIMEOUT_MAX)
+        panel = make_panel({"s": [float(v) for v in range(1, 25)]})
+        frame = remote_forecast(spec, panel, 2, levels=None)
+        np.testing.assert_array_equal(frame["s"].mean, [13.0, 14.0])  # seasonal naive
+        ModelSpec("remote", url=stub.url, backoff_ms=threading.TIMEOUT_MAX * 1000.0, max_retries=1)
+        ModelSpec("remote", url=stub.url, backoff_ms=0.0, max_retries=5000)
 
     def test_resolve_builds_the_right_objects(self, stub):
         assert isinstance(resolve_model("naive"), Forecaster)
@@ -212,7 +239,7 @@ class TestStubServer:
         assert replies[1][2]["mean"] == [2.0, 2.0]
         assert len(accepted) == 1
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize("length", ["abc", "-1", "-0", "+104", "1_0_4", ""])
     def test_bad_content_length_is_a_400_and_closes(self, stub, length):
         with socket.create_connection(stub.server.server_address[:2], timeout=5) as sock:
             sock.sendall(
@@ -589,3 +616,102 @@ class TestConnectionPool:
             server.close()
             proxy.close()
         assert proxy.requests == 0
+
+
+def record_client_writes(monkeypatch, port):
+    """The sizes of the socket writes made from now on on connections to
+    ``port``, as the client sends them."""
+    writes = []
+    for name in ("send", "sendall"):
+        real = getattr(socket.socket, name)
+
+        def recording(sock, data, *args, _real=real):
+            if sock.getpeername()[1] == port:
+                writes.append(len(data))
+            return _real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, recording)
+    return writes
+
+
+def send_stock_request(url, body, headers):
+    """POST ``body`` to ``url`` through stock ``http.client`` on a
+    connection of its own."""
+    server_url, _, path = url.partition("//")[2].partition("/")
+    conn = http.client.HTTPConnection(server_url, timeout=5)
+    try:
+        conn.request("POST", "/" + path, body, headers)
+        conn.getresponse().read()
+    finally:
+        conn.close()
+
+
+class TestOneWritePerRequest:
+    """The pooled transport sends a request's header block and body in one
+    socket write, with the bytes stock ``http.client`` sends in two."""
+
+    def test_one_write_on_a_fresh_and_on_a_reused_connection(self, monkeypatch):
+        server = serve_stub(alias="naive")
+        accepted = count_connections(server.server)
+        writes = record_client_writes(monkeypatch, server.server.server_address[1])
+        spec = adapter_spec(server.url, max_retries=0)
+        try:
+            for last in (3.0, 4.0):
+                frame = remote_forecast(spec, make_panel({"s": [1.0, last]}), 2, levels=None)
+                np.testing.assert_array_equal(frame["s"].mean, [last, last])
+        finally:
+            server.close()
+        assert len(accepted) == 1  # the second request went on the kept connection
+        assert len(writes) == 2
+
+    @pytest.mark.parametrize("extra", [{}, {"Authorization": "Bearer sk-test", "X-Trace": "1"}],
+                             ids=["adapter", "extra-headers"])
+    def test_wire_bytes_equal_stock_http_client(self, extra):
+        payload = {"id": "s", "freq": "M", "ds": ["2020-01-01"], "y": [1.5], "h": 2}
+        server = RawReplyServer(json_reply({"ok": True}))
+        url = f"{server.url}/forecast?v=1"
+        try:
+            assert post_json(url, payload, adapter_spec(server.url), dict(extra)) == {"ok": True}
+            headers = {"User-Agent": _http._USER_AGENT, "Content-Type": "application/json", **extra}
+            send_stock_request(url, json.dumps(payload).encode(), headers)
+        finally:
+            server.close()
+        sent, stock = server.request_bytes
+        assert sent == stock
+        assert sent.startswith(b"POST /forecast?v=1 HTTP/1.1\r\nHost: 127.0.0.1:")
+        assert sent.endswith(b"\r\n\r\n" + json.dumps(payload).encode())
+
+    def test_llm_call_is_one_write_with_its_credential(self, monkeypatch):
+        monkeypatch.setenv("AGENTCAST_TEST_KEY", "sk-test")
+        completion = {"choices": [{"message": {"content": "ok"}}]}
+        server = RawReplyServer(json_reply(completion))
+        writes = record_client_writes(monkeypatch, server.server.server_address[1])
+        config = LLMConfig("acme:m1", endpoint=server.url, credential_var="AGENTCAST_TEST_KEY")
+        try:
+            assert llm_chat(config, "be brief", "hi") == "ok"
+            assert len(writes) == 1
+            payload = {"model": "m1", "temperature": 0.0, "messages": [
+                {"role": "system", "content": "be brief"}, {"role": "user", "content": "hi"}]}
+            headers = {"User-Agent": _http._USER_AGENT, "Content-Type": "application/json",
+                       "Authorization": "Bearer sk-test"}
+            send_stock_request(
+                f"{server.url}/chat/completions", json.dumps(payload).encode(), headers
+            )
+        finally:
+            server.close()
+        sent, stock = server.request_bytes
+        assert sent == stock
+        assert writes[0] == len(sent)
+        assert b"\r\nAuthorization: Bearer sk-test\r\n" in sent
+
+    @pytest.mark.parametrize("value", ["a\r\nX-Injected: 1", "a\nb", "a\rb"],
+                             ids=["crlf", "lf", "cr"])
+    def test_header_holding_a_line_break_is_refused_before_sending(self, value):
+        server = RawReplyServer(json_reply({"ok": True}))
+        accepted = count_connections(server.server)
+        try:
+            with pytest.raises(ValueError, match="Invalid header value"):
+                _http.pooled_transport(f"{server.url}/forecast", b"{}", {"X-Note": value}, 5.0)
+        finally:
+            server.close()
+        assert (accepted, server.requests) == ([], 0)

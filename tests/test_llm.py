@@ -163,6 +163,39 @@ class TestLlmChat:
             llm_chat(fast_config(**{field: value}), *PROMPT, transport=transport)
         assert transport.calls == []
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            dict(timeout=float("inf")), dict(timeout=1e300), dict(timeout=1e10),
+            dict(backoff_ms=float("inf")), dict(backoff_ms=float("nan")),
+            dict(backoff_ms=1e13, max_retries=1), dict(backoff_ms=1.0, max_retries=2000),
+        ],
+        ids=["timeout-inf", "timeout-1e300", "timeout-1e10", "backoff-inf", "backoff-nan",
+             "longest-wait", "longest-wait-overflows"],
+    )
+    def test_policy_past_the_platforms_longest_wait_is_a_config_error(self, policy):
+        with pytest.raises(ConfigError, match="timeout" if "timeout" in policy else "backoff_ms"):
+            fast_config(**policy)
+
+    def test_many_retries_without_backoff_never_overflow(self, monkeypatch):
+        monkeypatch.setattr("agentcast._http.time.sleep", lambda seconds: None)
+        failures = [ConnectionResetError("reset")] * 1100
+        transport = StubTransport(failures + [(200, completion("at last"))])
+        config = fast_config(max_retries=1100, backoff_ms=0.0)
+        assert llm_chat(config, *PROMPT, transport=transport) == "at last"
+        assert len(transport.calls) == 1101
+
+    @pytest.mark.parametrize("secret", ["sk-secret\n", "sk-secret\r", "sk-\r\nX-Injected: 1",
+                                        "sk-secret\x1b", "sk-secr\u00e9t"],
+                             ids=["trailing-lf", "trailing-cr", "crlf", "escape", "non-ascii"])
+    def test_credential_that_cannot_go_in_a_header_is_a_config_error(self, monkeypatch, secret):
+        monkeypatch.setenv("OPENAI_API_KEY", secret)
+        transport = StubTransport([(200, completion("never"))])
+        with pytest.raises(ConfigError, match="OPENAI_API_KEY") as err:
+            llm_chat(fast_config(), *PROMPT, transport=transport)
+        assert "sk-" not in str(err.value)
+        assert transport.calls == []
+
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY")
         transport = StubTransport([(200, completion("never"))])
